@@ -52,7 +52,7 @@ func main() {
 		serve      = flag.Bool("serve", false, "mixed read/write serving: sharded ingest + epoch-cached queries over the HTTP handler")
 		faninF     = flag.Bool("fanin", false, "continuous multi-node fan-in: aggregate error vs push interval and source count")
 		storeF     = flag.Bool("store", false, "cold-tier storage: many streams, few resident, O(r)-checkpoint memory bound")
-		storeBk    = flag.String("store-backend", "memory", "backend for -store: memory, fswal, or muxwal")
+		storeBk    = flag.String("store-backend", "memory", "backend for -store: memory or fswal")
 		storeN     = flag.Int("store-streams", 1_000_000, "streams created by -store")
 		storeHot   = flag.Int("store-hot", 10_000, "MaxResident cap (hot set) for -store")
 		storePts   = flag.Int("store-points", 64, "points ingested per stream for -store")

@@ -10,13 +10,10 @@
 // "always" group-commits an fsync per batch, "interval" (default) syncs
 // on a timer, "none" leaves syncing to the OS.
 //
-// -store picks the storage backend behind -data: "fswal" (the default)
-// keeps one WAL directory per stream, "muxwal" multiplexes every stream
-// into one shared group-commit WAL — far fewer file descriptors and
-// fsyncs when streams number in the thousands. -max-resident bounds how
-// many stream summaries stay in memory: idle streams beyond the cap are
-// evicted to their O(r) checkpoint and rehydrated transparently on the
-// next touch, so a server can own vastly more streams than fit in RAM.
+// -max-resident bounds how many stream summaries stay in memory: idle
+// streams beyond the cap are evicted to their O(r) checkpoint and
+// rehydrated transparently on the next touch, so a server can own
+// vastly more streams than fit in RAM.
 // -async-recovery answers probes immediately while startup recovery
 // runs in the background (API requests get 503 with progress until it
 // finishes). See docs/STORAGE.md.
@@ -69,7 +66,7 @@
 //	hullserver -addr :8080 -r 32
 //	hullserver -addr :8080 -shards 8
 //	hullserver -addr :8080 -data /var/lib/hullserver -fsync always
-//	hullserver -addr :8080 -data /var/lib/hullserver -store muxwal -max-resident 10000
+//	hullserver -addr :8080 -data /var/lib/hullserver -max-resident 10000
 //	hullserver -addr :8081 -push-to http://agg:8080 -push-every 5s -push-source node1
 //	hullserver -addr :8082 -push-to http://global:8080 -push-source region1 -push-aggregates -pull-after 30s
 //	hullserver -addr :8080 -auth-tokens @/etc/hullserver/tokens -quota-rate 200
@@ -104,7 +101,6 @@ func main() {
 		maxS      = flag.Int("max-streams", 1024, "maximum number of live streams")
 		sweep     = flag.Duration("sweep", 2*time.Second, "expiry sweep interval for time-windowed streams")
 		data      = flag.String("data", "", "data directory for durable streams (empty = in-memory only)")
-		storeBk   = flag.String("store", "", "storage backend for -data: fswal (default; one WAL per stream) or muxwal (one shared group-commit WAL)")
 		maxRes    = flag.Int("max-resident", 0, "summaries kept in memory; idle streams beyond this evict to their O(r) checkpoint (0 = all resident)")
 		asyncRec  = flag.Bool("async-recovery", false, "serve /readyz (503 with progress) immediately and recover streams in the background")
 		fsync     = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or none")
@@ -180,7 +176,7 @@ func main() {
 	})
 	api, err := server.New(server.Config{
 		DefaultR: *r, DefaultSpec: *defSpec, MaxStreams: *maxS, SweepInterval: *sweep,
-		DataDir: *data, StoreBackend: *storeBk, MaxResident: *maxRes,
+		DataDir: *data, MaxResident: *maxRes,
 		AsyncRecovery: *asyncRec, Sync: sync, FsyncInterval: *fsyncInt,
 		CheckpointEvery: *ckpt, Logger: logger, Tracer: tracer,
 		Auth: provider,
@@ -290,11 +286,7 @@ func main() {
 	}()
 
 	if *data != "" {
-		backend := *storeBk
-		if backend == "" {
-			backend = "fswal"
-		}
-		logger.Info("durable mode", "data", *data, "store", backend, "fsync", *fsync,
+		logger.Info("durable mode", "data", *data, "fsync", *fsync,
 			"max_resident", *maxRes)
 	}
 	logger.Info("hullserver listening", "addr", *addr, "default_r", *r)

@@ -102,9 +102,8 @@ func RecoverFromWAL(dir string) (*WALRecovery, error) {
 // SummaryFromCheckpoint restores a summary from a checkpoint payload:
 // a windowed-state JSON document for windowed streams, a binary
 // Snapshot for everything else. It is the one decoder for checkpoint
-// payloads, shared by the fswal recovery path above and the pluggable
-// storage backends in internal/store, so every backend agrees on what a
-// checkpoint means.
+// payloads, shared by the fswal recovery path above and the in-memory
+// store in internal/store, so both agree on what a checkpoint means.
 func SummaryFromCheckpoint(spec Spec, data []byte) (Summary, error) {
 	if spec.Kind == KindWindowed {
 		if !specJSONPrefix(data) {

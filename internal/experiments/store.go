@@ -19,7 +19,7 @@ import (
 // owning far more streams than its residency cap, with memory and
 // latency accounted per tier.
 type StorePoint struct {
-	Backend      string  // fswal, muxwal, or memory
+	Backend      string  // fswal or memory
 	Streams      int     // streams created
 	Hot          int     // MaxResident cap
 	PointsPer    int     // points ingested per stream
@@ -41,8 +41,8 @@ type StorePoint struct {
 // O(streams·summary).
 //
 // backend chooses the storage engine: "memory" (default; the whole
-// experiment in RAM, so heap growth IS the storage cost), or "fswal" /
-// "muxwal" rooted in a throwaway directory under dir.
+// experiment in RAM, so heap growth IS the storage cost), or "fswal"
+// rooted in a throwaway directory under dir.
 func StoreSweep(backend string, streams, hot, pointsPer, r int, seed int64, dir string) (*StorePoint, error) {
 	cfg := server.Config{
 		DefaultR:    r,
@@ -54,14 +54,13 @@ func StoreSweep(backend string, streams, hot, pointsPer, r int, seed int64, dir 
 	case "", "memory":
 		backend = "memory"
 		cfg.Store = store.NewMemory()
-	case "fswal", "muxwal":
+	case "fswal":
 		tmp, err := os.MkdirTemp(dir, "store-sweep-*")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(tmp)
 		cfg.DataDir = tmp
-		cfg.StoreBackend = backend
 	default:
 		return nil, fmt.Errorf("store sweep: unknown backend %q", backend)
 	}

@@ -214,6 +214,13 @@ func TestColdTierConcurrency(t *testing.T) {
 	defer ts.Close()
 
 	ids := []string{"h0", "h1", "h2", "h3"}
+	// Create every stream up front: a pair query may name a stream whose
+	// worker has not ingested yet, and that must be 409, never 404.
+	for _, id := range ids {
+		if code, body := do(t, "PUT", ts.URL+"/v1/streams/"+id, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", id, code, body)
+		}
+	}
 	const rounds = 30
 	var wg sync.WaitGroup
 	for w, id := range ids {
@@ -385,9 +392,6 @@ func TestMaxResidentRequiresStore(t *testing.T) {
 // with a checkpoint and a live tail, under the percent-encoded
 // directory name — and proves today's fswal path opens it unchanged.
 func TestGoldenPreStoreLayout(t *testing.T) {
-	if !fswalLayout() {
-		t.Skip("the golden layout is fswal's")
-	}
 	dir := t.TempDir()
 	streamDir := filepath.Join(dir, "legacy%2Fstream") // key "legacy/stream": tenant "legacy"
 	if err := os.MkdirAll(streamDir, 0o755); err != nil {
@@ -467,22 +471,17 @@ func TestGoldenPreStoreLayout(t *testing.T) {
 	}
 }
 
-// TestStoreBackendMismatchRefuses: pointing the server at a data
-// directory written by the other backend must fail startup loudly, not
-// silently serve an empty stream set.
+// TestStoreBackendMismatchRefuses plants the marker the removed
+// muxwal backend left in its data directories: startup must fail
+// loudly and name muxwal, not silently serve an empty stream set.
 func TestStoreBackendMismatchRefuses(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DefaultR: 16, DataDir: dir, Sync: wal.SyncNone, StoreBackend: "muxwal"}
-	srv := mustNew(t, cfg)
-	ts := httptest.NewServer(srv)
-	ingest(t, ts, "m", workload.Take(workload.Disk(3, geom.Point{}, 1), 50))
-	ts.Close()
-	if err := srv.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "MUXSTORE"), []byte("SHMUXDIR1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg.StoreBackend = "fswal"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "muxwal") {
-		t.Fatalf("fswal opened a muxwal directory: %v", err)
+	if _, err := New(Config{DefaultR: 16, DataDir: dir, Sync: wal.SyncNone}); err == nil ||
+		!strings.Contains(err.Error(), "muxwal") {
+		t.Fatalf("opened a muxwal directory: %v", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Durable streams: when the server has a storage engine (Config.DataDir
 // or an injected Config.Store), every stream's ingest is appended to its
 // log through a store.Appender before touching the in-memory summary,
-// the stream's Spec is persisted by the backend, and New recovers every
+// the stream's Spec is persisted by the store, and New recovers every
 // stream the store lists — checkpoint first, then the surviving log
 // tail, replaying the same batches InsertBatch originally applied.
 //

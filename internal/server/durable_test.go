@@ -18,19 +18,30 @@ import (
 
 // durableConfig keeps durability tests deterministic and fast: no
 // background fsync timers, small checkpoints where a test wants them.
-// STREAMHULL_STORE_BACKEND (CI's backend matrix) re-runs the whole
-// durable suite against the named storage engine; unset means fswal.
 func durableConfig(dir string) Config {
-	return Config{DefaultR: 16, DataDir: dir, Sync: wal.SyncNone,
-		StoreBackend: os.Getenv("STREAMHULL_STORE_BACKEND")}
+	return Config{DefaultR: 16, DataDir: dir, Sync: wal.SyncNone}
 }
 
-// fswalLayout reports whether the suite is running against the fswal
-// backend, whose per-stream directory layout some assertions inspect
-// directly.
-func fswalLayout() bool {
-	b := os.Getenv("STREAMHULL_STORE_BACKEND")
-	return b == "" || b == "fswal"
+// assertCompacted checks that a stream directory holds a checkpoint
+// and that checkpointing pruned the segments it covers.
+func assertCompacted(t *testing.T, streamDir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(streamDir, "checkpoint.snap")); err != nil {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	entries, err := os.ReadDir(streamDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := 0
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".wal") {
+			segs++
+		}
+	}
+	if segs > 2 {
+		t.Fatalf("checkpointing left %d segments; compaction is not pruning", segs)
+	}
 }
 
 func hullVertices(t *testing.T, ts *httptest.Server, id string) ([]any, float64) {
@@ -147,28 +158,8 @@ func TestDurableWindowedKillRecover(t *testing.T) {
 	_, wantDetail := do(t, "GET", tsA.URL+"/v1/streams/wd", nil)
 	tsA.Close() // srvA.Close() deliberately never runs
 
-	// The windowed checkpoints must have compacted the log (layout
-	// check is fswal-specific; muxwal compaction is covered in the
-	// store package's own tests).
-	if fswalLayout() {
-		streamDir := filepath.Join(dir, "wd")
-		if _, err := os.Stat(filepath.Join(streamDir, "checkpoint.snap")); err != nil {
-			t.Fatalf("no windowed checkpoint written: %v", err)
-		}
-		entries, err := os.ReadDir(streamDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".wal") {
-				segs++
-			}
-		}
-		if segs > 2 {
-			t.Fatalf("windowed checkpointing left %d segments; compaction is not pruning", segs)
-		}
-	}
+	// The windowed checkpoints must have compacted the log.
+	assertCompacted(t, filepath.Join(dir, "wd"))
 
 	srvB := mustNew(t, cfg)
 	defer srvB.Close()
@@ -223,11 +214,9 @@ func TestGracefulCloseSealsCheckpoint(t *testing.T) {
 	if err := srvA.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fswalLayout() {
-		for _, id := range []string{"gw", "gw2"} {
-			if _, err := os.Stat(filepath.Join(dir, id, "checkpoint.snap")); err != nil {
-				t.Fatalf("stream %q: no checkpoint after graceful close: %v", id, err)
-			}
+	for _, id := range []string{"gw", "gw2"} {
+		if _, err := os.Stat(filepath.Join(dir, id, "checkpoint.snap")); err != nil {
+			t.Fatalf("stream %q: no checkpoint after graceful close: %v", id, err)
 		}
 	}
 
@@ -264,27 +253,8 @@ func TestDurableCheckpointExactRecovery(t *testing.T) {
 	wantVs, wantN := hullVertices(t, tsA, "ck")
 	tsA.Close()
 
-	// Compaction must have pruned the pre-checkpoint segments (fswal
-	// layout; muxwal compaction has its own store-package tests).
-	if fswalLayout() {
-		streamDir := filepath.Join(dir, "ck")
-		if _, err := os.Stat(filepath.Join(streamDir, "checkpoint.snap")); err != nil {
-			t.Fatalf("no checkpoint written: %v", err)
-		}
-		entries, err := os.ReadDir(streamDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".wal") {
-				segs++
-			}
-		}
-		if segs > 2 {
-			t.Fatalf("checkpointing left %d segments; compaction is not pruning", segs)
-		}
-	}
+	// Compaction must have pruned the pre-checkpoint segments.
+	assertCompacted(t, filepath.Join(dir, "ck"))
 
 	srvB := mustNew(t, cfg)
 	defer srvB.Close()
@@ -302,9 +272,6 @@ func TestDurableCheckpointExactRecovery(t *testing.T) {
 // exactly that record and matches an independent clean replay of the
 // same directory.
 func TestDurableTornTail(t *testing.T) {
-	if !fswalLayout() {
-		t.Skip("torn-tail surgery targets the fswal layout; muxwal's torn tail is covered in internal/store")
-	}
 	dir := t.TempDir()
 	srvA := mustNew(t, durableConfig(dir))
 	tsA := httptest.NewServer(srvA)
@@ -382,18 +349,14 @@ func TestDurableDeleteRemovesStorage(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	ingest(t, ts, "gone", workload.Take(workload.Disk(1, geom.Point{}, 1), 100))
-	if fswalLayout() {
-		if _, err := os.Stat(filepath.Join(dir, "gone")); err != nil {
-			t.Fatalf("stream dir missing before delete: %v", err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "gone")); err != nil {
+		t.Fatalf("stream dir missing before delete: %v", err)
 	}
 	if code, _ := do(t, "DELETE", ts.URL+"/v1/streams/gone", nil); code != http.StatusOK {
 		t.Fatal("delete failed")
 	}
-	if fswalLayout() {
-		if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
-			t.Fatalf("stream dir still present after delete: %v", err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
+		t.Fatalf("stream dir still present after delete: %v", err)
 	}
 	srv2 := mustNew(t, durableConfig(dir))
 	defer srv2.Close()

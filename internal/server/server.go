@@ -159,19 +159,13 @@ type Config struct {
 	SweepInterval time.Duration
 
 	// DataDir, when non-empty, makes lifetime streams durable: every
-	// ingest is logged through the storage engine under this directory
-	// before it is applied, and New recovers all streams found there.
+	// ingest is logged under this directory before it is applied, one
+	// write-ahead log per stream (internal/store, docs/STORAGE.md), and
+	// New recovers all streams found there.
 	DataDir string
-	// StoreBackend selects the storage engine for DataDir: "fswal"
-	// (default; the original one-directory-per-stream WAL layout) or
-	// "muxwal" (one shared group-commit WAL multiplexing every stream;
-	// built for very many mostly-idle streams). See internal/store and
-	// docs/STORAGE.md. A directory written by one backend refuses to
-	// open under the other.
-	StoreBackend string
 	// Store injects a pre-opened storage engine (tests and embedders);
-	// it takes precedence over DataDir/StoreBackend, and the server
-	// closes it on Close.
+	// it takes precedence over DataDir, and the server closes it on
+	// Close.
 	Store store.Store
 	// MaxResident caps how many streams keep a live summary resident in
 	// memory (0 = all of them). Requires durable storage: beyond the
@@ -388,8 +382,8 @@ func New(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Store != nil:
 		s.store = cfg.Store
-	case cfg.DataDir != "" || cfg.StoreBackend == "memory":
-		stor, err := store.Open(cfg.StoreBackend, cfg.DataDir, store.Options{
+	case cfg.DataDir != "":
+		stor, err := store.Open("", cfg.DataDir, store.Options{
 			SegmentBytes: cfg.SegmentBytes,
 			Sync:         cfg.Sync,
 			Interval:     cfg.FsyncInterval,
@@ -399,8 +393,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = stor
-	case cfg.StoreBackend != "":
-		return nil, fmt.Errorf("store backend %q requires DataDir", cfg.StoreBackend)
 	}
 	if cfg.MaxResident > 0 && s.store == nil {
 		return nil, errors.New("MaxResident requires durable storage (DataDir or Store)")

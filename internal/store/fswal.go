@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 
@@ -17,13 +18,18 @@ var ErrNotFound = errors.New("store: stream not found")
 // ErrExists is returned by Create for a key that already has storage.
 var ErrExists = errors.New("store: stream already exists")
 
-// fswal is the original storage layout, unchanged: one directory per
-// stream under the root, holding that stream's segmented WAL, meta
-// sidecar, and checkpoint (internal/wal). Extracting it behind Store
-// adds nothing to the on-disk format — a data directory written before
-// this package existed opens exactly as it always did, and a directory
-// this backend writes is readable by the pre-store code and by
-// `hullcli replay`.
+// muxMarker names the marker file at the root of a data directory
+// written by the removed muxwal backend (one shared group-commit WAL
+// for every stream). fswal cannot read that layout, so it refuses the
+// directory instead of silently serving it as empty.
+const muxMarker = "MUXSTORE"
+
+// fswal is the durable storage layout: one directory per stream under
+// the root, holding that stream's segmented WAL, meta sidecar, and
+// checkpoint (internal/wal). Extracting it behind Store adds nothing
+// to the on-disk format — a data directory written before this package
+// existed opens exactly as it always did, and a directory this backend
+// writes is readable by the pre-store code and by `hullcli replay`.
 type fswal struct {
 	dir  string
 	opts Options
@@ -33,13 +39,15 @@ func openFSWAL(dir string, opts Options) (Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, muxMarkerName)); err == nil {
-		return nil, fmt.Errorf("store: %s is a muxwal store; reopen it with the muxwal backend", dir)
+	if _, err := os.Stat(filepath.Join(dir, muxMarker)); err == nil {
+		return nil, fmt.Errorf("store: %s holds a muxwal store, which is no longer supported; "+
+			"migrate it by snapshotting or re-ingesting its streams through a server that predates muxwal's removal", dir)
+	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	return &fswal{dir: dir, opts: opts}, nil
 }
-
-func (s *fswal) Backend() string { return "fswal" }
 
 func (s *fswal) streamDir(key string) string {
 	return filepath.Join(s.dir, EncodeDir(key))
@@ -88,7 +96,7 @@ func (s *fswal) Create(key string, spec streamhull.Spec) (Appender, error) {
 	if err := wal.SaveMeta(dir, meta); err != nil {
 		return nil, err
 	}
-	return wal.Open(dir, s.opts.wal())
+	return wal.Open(dir, s.opts)
 }
 
 func (s *fswal) Open(key string) (Appender, error) {
@@ -99,7 +107,7 @@ func (s *fswal) Open(key string) (Appender, error) {
 		}
 		return nil, fmt.Errorf("store: stream %q: %w", key, err)
 	}
-	return wal.Open(dir, s.opts.wal())
+	return wal.Open(dir, s.opts)
 }
 
 func (s *fswal) Load(key string) (*Recovered, error) {

@@ -10,8 +10,8 @@ const dirSafe = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_
 // EncodeDir maps a stream key to a filesystem-safe name: safe
 // characters pass through, everything else (including '.' so "." and
 // ".." cannot occur) is percent-escaped. fswal uses it for stream
-// directory names, muxwal for per-stream meta/checkpoint file stems —
-// one encoding, so a key's on-disk name is the same in every backend.
+// directory names, so every key maps to one directory that `hullcli
+// replay` and tests can find.
 func EncodeDir(key string) string {
 	var b strings.Builder
 	for i := 0; i < len(key); i++ {

@@ -10,7 +10,7 @@ import (
 )
 
 // memory keeps every stream's log and checkpoint in process memory —
-// the lifecycle of the durable backends (data survives an appender
+// the lifecycle of the durable store (data survives an appender
 // Close, checkpoints supersede batches, Load replays) without any
 // disk, for tests and experiments that exercise the cold tier.
 type memory struct {
@@ -30,8 +30,6 @@ type memStream struct {
 func NewMemory() Store {
 	return &memory{streams: make(map[string]*memStream)}
 }
-
-func (s *memory) Backend() string { return "memory" }
 
 func (s *memory) List() ([]Entry, error) {
 	s.mu.Lock()

@@ -1,32 +1,25 @@
-// Package store is the pluggable storage-engine subsystem behind the
-// stream server: one Store interface with three backends, so the
-// durable representation of a stream can change without the serving
-// layer noticing.
+// Package store is the storage-engine subsystem behind the stream
+// server: one Store interface, so the serving layer and its cold tier
+// never touch files directly. It has two implementations:
 //
-//   - fswal: the original layout — one directory per stream holding a
-//     segmented write-ahead log plus a checkpoint file (internal/wal).
-//     Data directories written before this package existed open
-//     unchanged. Best when streams are few and hot: every stream owns
-//     its own fsync stream and file descriptors.
-//   - muxwal: a single shared, segmented, group-commit write-ahead log
-//     multiplexing every stream's records into one fsync stream, with
-//     per-stream checkpoint files and an in-memory offset index rebuilt
-//     on open. Best when streams are many and mostly idle: thousands of
-//     low-rate streams cost one open segment and one syncer, and an
-//     idle checkpointed stream costs a few hundred bytes of disk and a
-//     map entry.
-//   - memory: everything in process memory; for tests and experiments.
+//   - fswal (Open): the one durable layout — one directory per stream
+//     holding a segmented write-ahead log, a meta sidecar and a
+//     checkpoint file (internal/wal). Data directories written before
+//     this package existed open unchanged, and `hullcli replay` reads
+//     any stream directory it writes.
+//   - memory (NewMemory): everything in process memory, for tests and
+//     experiments that inject it through server.Config.Store.
 //
-// The unit every backend agrees on is the paper's O(r) checkpoint: a
-// summary compacts to a few hundred bytes that fully replace its log
-// prefix (Hershberger–Suri §4–§5), so "park an idle stream" is cheap in
-// any backend — seal a checkpoint, drop the live summary, and Load
-// rebuilds it bit-exactly later.
+// The unit both agree on is the paper's O(r) checkpoint: a summary
+// compacts to a few hundred bytes that fully replace its log prefix
+// (Hershberger–Suri §4–§5), so "park an idle stream" is cheap — seal a
+// checkpoint, drop the live summary, and Load rebuilds it bit-exactly
+// later.
 //
-// Contract notes shared by all backends:
+// Contract notes shared by both:
 //
-//   - Keys are tenant-qualified stream ids; backends make them
-//     filesystem-safe themselves.
+//   - Keys are tenant-qualified stream ids; the store makes them
+//     filesystem-safe itself.
 //   - Load is read-only and repeatable: calling it twice without
 //     intervening appends yields summaries with identical state.
 //   - Appenders hand out by Create/Open are owned by the caller; Close
@@ -40,7 +33,6 @@ package store
 
 import (
 	"fmt"
-	"log/slog"
 	"time"
 
 	streamhull "github.com/streamgeom/streamhull"
@@ -48,40 +40,11 @@ import (
 	"github.com/streamgeom/streamhull/internal/wal"
 )
 
-// Options parameterizes a backend. The zero value mirrors the WAL
-// defaults (4 MiB segments, interval fsync at 50ms).
-type Options struct {
-	// SegmentBytes caps a log segment's size (0 = 4 MiB).
-	SegmentBytes int64
-	// Sync is the fsync policy for appended records.
-	Sync wal.SyncPolicy
-	// Interval is the timer period for wal.SyncInterval (0 = 50ms).
-	Interval time.Duration
-	// Logger receives background trouble (fsync failures, compaction
-	// errors). Nil discards.
-	Logger *slog.Logger
-}
-
-func (o Options) wal() wal.Options {
-	return wal.Options{
-		SegmentBytes: o.SegmentBytes,
-		Sync:         o.Sync,
-		Interval:     o.Interval,
-		Logger:       o.Logger,
-	}
-}
-
-func (o *Options) fill() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.Interval <= 0 {
-		o.Interval = 50 * time.Millisecond
-	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.DiscardHandler)
-	}
-}
+// Options parameterizes the fswal store: they are the options of each
+// stream's write-ahead log. The zero value means 4 MiB segments and
+// interval fsync at 50ms; Logger also receives the store's own
+// warnings.
+type Options = wal.Options
 
 // Entry is one stream a Store knows about: its key plus the spec and
 // tenant from the stream's persisted meta. Tenant is derived from the
@@ -128,8 +91,6 @@ type Appender interface {
 // of Append vs Checkpoint is the caller's job (the server holds its
 // stream lock across both).
 type Store interface {
-	// Backend names the implementation ("fswal", "muxwal", "memory").
-	Backend() string
 	// List enumerates every stream in the store. It reads metas only —
 	// no summary is rebuilt — so listing millions of streams stays
 	// cheap.
@@ -147,32 +108,19 @@ type Store interface {
 	// Delete removes the stream's storage entirely. The caller closes
 	// any appender first.
 	Delete(key string) error
-	// Close flushes and releases store-wide resources (muxwal: the
-	// shared log). Callers close per-stream appenders themselves;
-	// fswal's Close is a no-op.
+	// Close releases store-wide resources. Callers close per-stream
+	// appenders themselves; fswal's Close is a no-op.
 	Close() error
 }
 
-// Backends lists the selectable backend names, in the order the
-// -store flag documents them.
-func Backends() []string { return []string{"fswal", "muxwal", "memory"} }
-
-// Open opens (creating if needed) a store of the named backend rooted
-// at dir. The two durable backends cross-check the directory's marker
-// so a muxwal directory is never misread as fswal or vice versa;
-// "memory" ignores dir.
+// Open opens (creating if needed) the fswal store rooted at dir.
+// backend must be "" or "fswal", the only durable layout; the
+// in-memory store comes from NewMemory.
 func Open(backend, dir string, opts Options) (Store, error) {
-	opts.fill()
-	switch backend {
-	case "", "fswal":
-		return openFSWAL(dir, opts)
-	case "muxwal":
-		return openMuxWAL(dir, opts)
-	case "memory":
-		return NewMemory(), nil
-	default:
-		return nil, fmt.Errorf("store: unknown backend %q (want fswal, muxwal, or memory)", backend)
+	if backend != "" && backend != "fswal" {
+		return nil, fmt.Errorf("store: unknown backend %q (want fswal)", backend)
 	}
+	return openFSWAL(dir, opts)
 }
 
 // splitTenant derives the tenant from a tenant-qualified key

@@ -61,22 +61,30 @@ func replayClean(t *testing.T, spec streamhull.Spec, batches ...[]geom.Point) st
 	return sum
 }
 
-func openBackend(t *testing.T, backend, dir string, opts Options) Store {
+// mustOpen opens the durable store at dir without background fsyncs.
+func mustOpen(t *testing.T, dir string) Store {
 	t.Helper()
-	s, err := Open(backend, dir, opts)
+	s, err := Open("", dir, Options{Sync: wal.SyncNone})
 	if err != nil {
-		t.Fatalf("Open(%s): %v", backend, err)
+		t.Fatalf("Open: %v", err)
 	}
 	return s
 }
 
-// TestBackendRoundTrip drives the full lifecycle through every
-// backend: create, append, load, checkpoint, append a tail, close the
-// appender (eviction), reopen, append more, delete.
+// TestBackendRoundTrip drives the full lifecycle through both stores:
+// create, append, load, checkpoint, append a tail, close the appender
+// (eviction), reopen, append more, delete.
 func TestBackendRoundTrip(t *testing.T) {
-	for _, backend := range Backends() {
-		t.Run(backend, func(t *testing.T) {
-			s := openBackend(t, backend, t.TempDir(), Options{Sync: wal.SyncNone})
+	backends := []struct {
+		name string
+		open func(t *testing.T) Store
+	}{
+		{"fswal", func(t *testing.T) Store { return mustOpen(t, t.TempDir()) }},
+		{"memory", func(*testing.T) Store { return NewMemory() }},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.open(t)
 			defer s.Close()
 
 			spec := adaptiveSpec(16)
@@ -177,248 +185,72 @@ func TestBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackendReopen closes a durable store and reopens it: the index
-// scan must find every stream and rebuild identical state.
+// TestBackendReopen closes the durable store and reopens it: the
+// directory scan must find every stream and rebuild identical state.
+// The memory store has nothing to reopen.
 func TestBackendReopen(t *testing.T) {
-	for _, backend := range []string{"fswal", "muxwal"} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openBackend(t, backend, dir, Options{Sync: wal.SyncNone})
-			spec := adaptiveSpec(16)
+	t.Run("fswal", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		spec := adaptiveSpec(16)
 
-			want := make(map[string]streamhull.Summary)
-			for i := 0; i < 5; i++ {
-				key := fmt.Sprintf("t%d/s-%d", i%2, i)
-				app, err := s.Create(key, spec)
-				if err != nil {
-					t.Fatalf("Create: %v", err)
-				}
-				b1, b2 := ringPoints(40+i, float64(i+1)), ringPoints(30, float64(i+2))
-				if err := app.Append(b1); err != nil {
-					t.Fatal(err)
-				}
-				if i%2 == 0 { // checkpoint some, not others
-					rec, err := s.Load(key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					data, err := rec.Summary.(streamhull.Snapshotter).Snapshot().MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := app.Checkpoint(data); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := app.Append(b2); err != nil {
-					t.Fatal(err)
-				}
-				if err := app.Close(); err != nil {
-					t.Fatal(err)
-				}
+		want := make(map[string]streamhull.Summary)
+		for i := 0; i < 5; i++ {
+			key := fmt.Sprintf("t%d/s-%d", i%2, i)
+			app, err := s.Create(key, spec)
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			b1, b2 := ringPoints(40+i, float64(i+1)), ringPoints(30, float64(i+2))
+			if err := app.Append(b1); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 { // checkpoint some, not others
 				rec, err := s.Load(key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[key] = rec.Summary
+				data, err := rec.Summary.(streamhull.Snapshotter).Snapshot().MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := app.Checkpoint(data); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
+			if err := app.Append(b2); err != nil {
+				t.Fatal(err)
 			}
-
-			s2 := openBackend(t, backend, dir, Options{Sync: wal.SyncNone})
-			defer s2.Close()
-			entries, err := s2.List()
+			if err := app.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := s.Load(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(entries) != len(want) {
-				t.Fatalf("List found %d streams, want %d", len(entries), len(want))
+			want[key] = rec.Summary
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		s2 := mustOpen(t, dir)
+		defer s2.Close()
+		entries, err := s2.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(want) {
+			t.Fatalf("List found %d streams, want %d", len(entries), len(want))
+		}
+		for _, e := range entries {
+			rec, err := s2.Load(e.Key)
+			if err != nil {
+				t.Fatalf("Load(%s): %v", e.Key, err)
 			}
-			for _, e := range entries {
-				rec, err := s2.Load(e.Key)
-				if err != nil {
-					t.Fatalf("Load(%s): %v", e.Key, err)
-				}
-				sameState(t, rec.Summary, want[e.Key])
-			}
-		})
-	}
-}
-
-// TestMuxwalTornTail kills the store without Close (files simply kept)
-// and additionally truncates the last segment mid-record: recovery
-// must drop exactly the torn record.
-func TestMuxwalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := openBackend(t, "muxwal", dir, Options{Sync: wal.SyncNone})
-	spec := adaptiveSpec(16)
-	app, err := s.Create("k", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, b2 := ringPoints(60, 1), ringPoints(40, 2)
-	if err := app.Append(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Append(b2); err != nil {
-		t.Fatal(err)
-	}
-	// Abandon the store (simulated kill -9), then tear the tail.
-	segs, err := listMuxSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	last := filepath.Join(dir, segs[len(segs)-1].name)
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openBackend(t, "muxwal", dir, Options{Sync: wal.SyncNone})
-	defer s2.Close()
-	rec, err := s2.Load("k")
-	if err != nil {
-		t.Fatalf("Load after torn tail: %v", err)
-	}
-	// The second batch's record was torn; only the first survives.
-	sameState(t, rec.Summary, replayClean(t, spec, b1))
-}
-
-// TestMuxwalIncarnationFloor deletes a stream and re-creates the same
-// key: records and checkpoints of the dead incarnation must never leak
-// into the new one, even across a crash-and-reopen.
-func TestMuxwalIncarnationFloor(t *testing.T) {
-	dir := t.TempDir()
-	s := openBackend(t, "muxwal", dir, Options{Sync: wal.SyncNone})
-	spec := adaptiveSpec(16)
-
-	app, err := s.Create("k", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := ringPoints(80, 5)
-	if err := app.Append(old); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.Load("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := rec.Summary.(streamhull.Snapshotter).Snapshot().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Checkpoint(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-
-	app, err = s.Create("k", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := ringPoints(10, 1)
-	if err := app.Append(fresh); err != nil {
-		t.Fatal(err)
-	}
-	want := replayClean(t, spec, fresh)
-	rec, err = s.Load("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameState(t, rec.Summary, want)
-
-	// Abandon without Close and reopen: the scan must still fence the
-	// old incarnation's surviving records off behind the floor.
-	s2 := openBackend(t, "muxwal", dir, Options{Sync: wal.SyncNone})
-	defer s2.Close()
-	rec, err = s2.Load("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameState(t, rec.Summary, want)
-	if rec.HasCheckpoint {
-		t.Fatal("new incarnation inherited the deleted stream's checkpoint")
-	}
-}
-
-// TestMuxwalCompaction checkpoints streams until shared segments go
-// dead and verifies they are physically reclaimed while state
-// survives, including across a crash-and-reopen mid-lifecycle.
-func TestMuxwalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments so rotation and compaction actually happen.
-	opts := Options{Sync: wal.SyncNone, SegmentBytes: 4 << 10}
-	s := openBackend(t, "muxwal", dir, opts)
-	spec := adaptiveSpec(8)
-
-	apps := make(map[string]Appender)
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("s%d", i)
-		app, err := s.Create(key, spec)
-		if err != nil {
-			t.Fatal(err)
+			sameState(t, rec.Summary, want[e.Key])
 		}
-		apps[key] = app
-	}
-	for round := 0; round < 30; round++ {
-		for key, app := range apps {
-			if err := app.Append(ringPoints(20, float64(round+1))); err != nil {
-				t.Fatalf("append %s: %v", key, err)
-			}
-		}
-	}
-	// Checkpoint everything: all records die, segments must collapse.
-	for key, app := range apps {
-		rec, err := s.Load(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := rec.Summary.(streamhull.Snapshotter).Snapshot().MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := app.Checkpoint(data); err != nil {
-			t.Fatalf("checkpoint %s: %v", key, err)
-		}
-	}
-	segs, err := listMuxSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Everything checkpointed: at most the active segment should hold
-	// any bytes; all sealed segments were dead or rewritten away.
-	if len(segs) > 1 {
-		t.Fatalf("%d segments survive a full checkpoint sweep, want <= 1", len(segs))
-	}
-
-	want := make(map[string]streamhull.Summary)
-	for key := range apps {
-		rec, err := s.Load(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[key] = rec.Summary
-	}
-	// Abandon (kill -9) and reopen: compacted state must round-trip.
-	s2 := openBackend(t, "muxwal", dir, opts)
-	defer s2.Close()
-	for key, w := range want {
-		rec, err := s2.Load(key)
-		if err != nil {
-			t.Fatalf("Load(%s) after reopen: %v", key, err)
-		}
-		sameState(t, rec.Summary, w)
-	}
+	})
 }
 
 // TestFSWALOpensLegacyLayout builds a stream directory exactly the way
@@ -452,7 +284,7 @@ func TestFSWALOpensLegacyLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := openBackend(t, "fswal", root, Options{Sync: wal.SyncNone})
+	s := mustOpen(t, root)
 	defer s.Close()
 	entries, err := s.List()
 	if err != nil {
@@ -468,58 +300,22 @@ func TestFSWALOpensLegacyLayout(t *testing.T) {
 	sameState(t, rec.Summary, replayClean(t, spec, pts))
 }
 
-// TestBackendMarkers: a muxwal directory refuses to open as fswal and
-// vice versa, so a mis-set -store flag fails loudly instead of
-// misreading data.
+// TestBackendMarkers plants the marker the removed muxwal backend
+// left in its data directories: Open must refuse the directory and
+// name muxwal, rather than serve it as an empty store.
+// Unknown backend names are refused too.
 func TestBackendMarkers(t *testing.T) {
 	dir := t.TempDir()
-	s := openBackend(t, "muxwal", dir, Options{Sync: wal.SyncNone})
-	if err := s.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, muxMarker), []byte("SHMUXDIR1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open("fswal", dir, Options{}); err == nil || !strings.Contains(err.Error(), "muxwal") {
-		t.Fatalf("fswal opened a muxwal dir: %v", err)
+	if _, err := Open("", dir, Options{}); err == nil || !strings.Contains(err.Error(), "muxwal") {
+		t.Fatalf("opened a muxwal dir: %v", err)
 	}
-
-	dir2 := t.TempDir()
-	s2 := openBackend(t, "fswal", dir2, Options{Sync: wal.SyncNone})
-	if _, err := s2.Create("k", adaptiveSpec(8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open("muxwal", dir2, Options{}); err == nil {
-		t.Fatal("muxwal opened a populated fswal dir")
-	}
-
-	if _, err := Open("bogus", t.TempDir(), Options{}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}
-
-// TestMuxwalSyncAlways exercises the group-commit wait path.
-func TestMuxwalSyncAlways(t *testing.T) {
-	s := openBackend(t, "muxwal", t.TempDir(), Options{Sync: wal.SyncAlways})
-	defer s.Close()
-	app, err := s.Create("k", adaptiveSpec(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := app.Append(ringPoints(10, float64(i+1))); err != nil {
-			t.Fatal(err)
+	for _, backend := range []string{"muxwal", "memory", "bogus"} {
+		if _, err := Open(backend, t.TempDir(), Options{}); err == nil {
+			t.Fatalf("Open accepted backend %q", backend)
 		}
-	}
-	w, sw, err := app.AppendTimed(ringPoints(10, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = w
-	_ = sw
-	rec, err := s.Load("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Points != 60 {
-		t.Fatalf("replayed %d points, want 60", rec.Points)
 	}
 }
 
