@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/convex"
 	"github.com/streamgeom/streamhull/internal/core"
 	"github.com/streamgeom/streamhull/internal/uncert"
 )
@@ -128,24 +129,16 @@ func (s *AdaptiveHull) Insert(p geom.Point) error {
 // entirely (they can never be extreme once the batch is in). The batch
 // is validated first, so an error means nothing was applied.
 func (s *AdaptiveHull) InsertBatch(pts []geom.Point) (int, error) {
-	if err := checkFiniteBatch(pts); err != nil {
-		return 0, err
-	}
-	if len(pts) == 0 {
-		return 0, nil
-	}
-	s.mu.Lock()
-	s.h.InsertBatch(pts)
-	s.epoch.Add(1)
-	s.mu.Unlock()
-	return len(pts), nil
+	return s.InsertBatchObserved(pts, nil)
 }
 
-// InsertBatchObserved is InsertBatch with per-stage timings — the
-// prefilter pass and the candidate insertions — reported to obs
-// (non-nil); it implements StagedBatchInserter for the server's
-// request-tracing layer. The state transition is identical to
-// InsertBatch, so a traced ingest recovers bit-exact from WAL replay.
+// InsertBatchObserved is InsertBatch reporting per-stage timings to
+// obs: "prefilter" for the batch-hull pass, which runs before the lock
+// is taken, and "insert" for feeding the survivors through the summary
+// under it. A nil obs reads no clock. The clock feeds only the
+// observations, never the state transition, so traced and untraced
+// ingest — and WAL replay of either — are bit-identical. It implements
+// StagedBatchInserter for the server's request-tracing layer.
 func (s *AdaptiveHull) InsertBatchObserved(pts []geom.Point, obs func(stage string, d time.Duration)) (int, error) {
 	if err := checkFiniteBatch(pts); err != nil {
 		return 0, err
@@ -153,10 +146,24 @@ func (s *AdaptiveHull) InsertBatchObserved(pts []geom.Point, obs func(stage stri
 	if len(pts) == 0 {
 		return 0, nil
 	}
+	var start time.Time
+	if obs != nil {
+		start = time.Now()
+	}
+	cands := convex.ExtremeCandidates(pts)
+	if obs != nil {
+		obs("prefilter", time.Since(start))
+	}
 	s.mu.Lock()
-	s.h.InsertBatchObserved(pts, time.Now, obs)
+	if obs != nil {
+		start = time.Now()
+	}
+	s.h.InsertCandidates(cands, len(pts))
 	s.epoch.Add(1)
 	s.mu.Unlock()
+	if obs != nil {
+		obs("insert", time.Since(start))
+	}
 	return len(pts), nil
 }
 

@@ -1,10 +1,12 @@
 package streamhull_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
@@ -264,4 +266,48 @@ func BenchmarkInsertBatch(b *testing.B) {
 			_, _ = s.InsertBatch(bs[i%len(bs)])
 		}
 	})
+}
+
+// TestObservedBatchBitExact pins the contract of the traced batch path:
+// the observer sees only timings, so a batch inserted with a recording
+// observer leaves the summary bit-identical to the same batch inserted
+// untraced — the property WAL replay of traced ingest depends on — and
+// each batch reports exactly one prefilter and one insert stage.
+func TestObservedBatchBitExact(t *testing.T) {
+	pts := workload.Take(workload.Ellipse(7, 1, 0.5, 0.2), 4000)
+	plain := streamhull.NewAdaptive(16)
+	observed := streamhull.NewAdaptive(16)
+	stages := map[string]int{}
+	record := func(stage string, d time.Duration) {
+		stages[stage]++
+		if d < 0 {
+			t.Errorf("stage %q: negative duration %v", stage, d)
+		}
+	}
+	bs := batches(pts, 500)
+	for _, b := range bs {
+		if _, err := plain.InsertBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := observed.InsertBatchObserved(b, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(stages) != 2 || stages["prefilter"] != len(bs) || stages["insert"] != len(bs) {
+		t.Errorf("stage observations = %v, want %d prefilter and %d insert", stages, len(bs), len(bs))
+	}
+	if got, want := observed.N(), plain.N(); got != want {
+		t.Fatalf("N = %d, want %d", got, want)
+	}
+	a, err := plain.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := observed.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("traced and untraced batches produced different snapshots")
+	}
 }

@@ -33,7 +33,8 @@
 // first contact. After the first acked push each stream rides true
 // delta frames — only the extrema that changed since the last acked
 // epoch, a binary frame the aggregator can reject with a resync demand
-// when it cannot anchor it (-push-delta=false forces full snapshots).
+// when it cannot anchor it, answered with a full snapshot. A delta is
+// sent only when its frame is smaller than the full snapshot.
 // -push-aggregates includes this server's own fan-in aggregates in the
 // push set, so tiers cascade: leaf → region → global (see
 // docs/FANIN.md and scripts/cascade_smoke.sh). -push-addr advertises a
@@ -110,7 +111,6 @@ func main() {
 		pushInt   = flag.Duration("push-every", 5*time.Second, "push period for -push-to")
 		pushSrc   = flag.String("push-source", "", "source name for -push-to (default hostname+addr)")
 		pushTok   = flag.String("push-token", "", "bearer token the follower sends upstream (needs the push role there)")
-		pushDelta = flag.Bool("push-delta", true, "push epoch-ranged deltas (only sample slots changed since the last acked push) instead of full snapshots when smaller")
 		pushAddr  = flag.String("push-addr", "", "base URL the AGGREGATOR can reach this follower on, advertised with every push so lagging state can be pulled (empty = not pullable)")
 		pushAggs  = flag.Bool("push-aggregates", false, "include this server's own fan-in aggregates in the push set — the middle tier of a leaf → region → global cascade")
 		pullAfter = flag.Duration("pull-after", 0, "aggregator side: pull a fan-in source's snapshot from its advertised address when its last push is older than this (0 = never pull)")
@@ -244,7 +244,7 @@ func main() {
 		pusher, err := fanin.NewPusher(fanin.PusherConfig{
 			Target: *pushTo, Source: source, Interval: *pushInt,
 			Collect: collect, Logger: logger, Token: *pushTok,
-			Tracer: tracer, Deltas: *pushDelta, AdvertiseURL: *pushAddr,
+			Tracer: tracer, AdvertiseURL: *pushAddr,
 		})
 		if err != nil {
 			fatal("-push-to", "err", err)

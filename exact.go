@@ -75,7 +75,7 @@ func (s *ExactHull) InsertBatch(pts []geom.Point) (int, error) {
 		s.rebuild()
 	}
 	appended := false
-	for _, p := range batchHull(pts) {
+	for _, p := range convex.ExtremeCandidates(pts) {
 		if s.poly.Len() >= 3 && s.poly.Contains(p) {
 			continue
 		}

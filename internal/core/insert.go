@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/streamgeom/streamhull/geom"
 	"github.com/streamgeom/streamhull/internal/convex"
 	"github.com/streamgeom/streamhull/internal/robust"
@@ -92,31 +90,20 @@ func (h *Hull) InsertAll(pts []geom.Point) {
 // the same batch boundaries it is deterministic, which is what WAL
 // replay relies on.
 func (h *Hull) InsertBatch(pts []geom.Point) {
-	n := h.stats.Points
-	for _, p := range convex.ExtremeCandidates(pts) {
-		h.Insert(p)
-	}
-	h.stats.Points = n + len(pts)
+	h.InsertCandidates(convex.ExtremeCandidates(pts), len(pts))
 }
 
-// InsertBatchObserved is InsertBatch with per-stage timings reported to
-// obs (non-nil): "prefilter" for the ExtremeCandidates pass,
-// "insert" for feeding the surviving candidates through the summary.
-// The clock is injected (callers outside the deterministic core pass
-// time.Now) and feeds only the observations, never the state
-// transition, which is identical to InsertBatch — same filter, same
-// insertion order — so traced ingest stays bit-exact with WAL replay.
-func (h *Hull) InsertBatchObserved(pts []geom.Point, now func() time.Time, obs func(stage string, d time.Duration)) {
-	n := h.stats.Points
-	start := now()
-	cands := convex.ExtremeCandidates(pts)
-	obs("prefilter", now().Sub(start))
-	start = now()
+// InsertCandidates is the second half of InsertBatch for a caller that
+// ran the prefilter itself: cands must be convex.ExtremeCandidates of
+// a batch of n points. The candidates are inserted in order and the
+// point count advances by the whole batch, so the transition is
+// identical to InsertBatch on the original batch.
+func (h *Hull) InsertCandidates(cands []geom.Point, n int) {
+	before := h.stats.Points
 	for _, p := range cands {
 		h.Insert(p)
 	}
-	obs("insert", now().Sub(start))
-	h.stats.Points = n + len(pts)
+	h.stats.Points = before + n
 }
 
 // candidateGaps returns the gaps whose refinement directions q could

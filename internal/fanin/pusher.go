@@ -71,16 +71,6 @@ type PusherConfig struct {
 	// It must carry the push role for the tenant whose namespace the
 	// aggregates live in.
 	Token string
-	// Deltas enables epoch-ranged delta pushes: after a stream's first
-	// accepted full push, later pushes send only the sample slots that
-	// changed since the last ACKED epoch (see delta.go) whenever that is
-	// smaller than the full snapshot. The aggregator answers a delta it
-	// cannot anchor (first contact, an epoch gap, a base mismatch) with
-	// a resync rejection, and the pusher falls back to a full snapshot
-	// in the same attempt — so enabling deltas never loses data, it only
-	// shrinks the steady-state bytes on the wire. Requires Collect to
-	// fill StreamSnapshot.Points.
-	Deltas bool
 	// AdvertiseURL, when set, rides every push as the follower's own
 	// base URL, letting the aggregator pull this follower's snapshot
 	// itself when its pushes lag (see the server's PullAfter). It must
@@ -284,15 +274,16 @@ func (p *Pusher) pushAll(ctx context.Context) {
 }
 
 // pushStream ensures the aggregate exists, then pushes one snapshot —
-// as an epoch-ranged delta against the last acked push when delta mode
-// is on and the delta is actually smaller, falling back to the full
-// snapshot when the aggregator cannot anchor the delta (resync) — and
-// retries transient failures with backoff (see withRetry). A 409 on
-// create means the aggregate already exists (fine); a failed create is
-// retried on the next push rather than cached. A failed PUSH also
-// clears the created mark: an in-memory aggregator that restarted has
-// forgotten the aggregate, and re-creating it on the next tick is
-// exactly the re-sync the follower loop promises.
+// as an epoch-ranged delta against the last acked push when the stream
+// exposes its sample slots and the delta is actually smaller, falling
+// back to the full snapshot when the aggregator cannot anchor the
+// delta (resync) — and retries transient failures with backoff (see
+// withRetry). A 409 on create means the aggregate already exists
+// (fine); a failed create is retried on the next push rather than
+// cached. A failed PUSH also clears the created mark: an in-memory
+// aggregator that restarted has forgotten the aggregate, and
+// re-creating it on the next tick is exactly the re-sync the follower
+// loop promises.
 func (p *Pusher) pushStream(ctx context.Context, ss StreamSnapshot) error {
 	// One root span per stream push; its traceparent travels in the
 	// request context onto the HTTP headers, so the aggregator's handler
@@ -310,7 +301,7 @@ func (p *Pusher) pushStream(ctx context.Context, ss StreamSnapshot) error {
 			p.created[ss.Stream] = true
 		}
 		epoch := p.cfg.Epoch()
-		if ack, ok := p.acked[ss.Stream]; ok && p.cfg.Deltas && ss.Points != nil {
+		if ack, ok := p.acked[ss.Stream]; ok && ss.Points != nil {
 			d := ComputeDelta(ack.epoch, epoch, ss.N, ack.points, ss.Points)
 			frame := EncodeDelta(d)
 			if len(frame) < len(ss.Data) {

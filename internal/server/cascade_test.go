@@ -38,7 +38,7 @@ func newCascadeNode(t *testing.T, name, target string, epochBase uint64, aggrega
 		collect = srv.StreamSnapshotsCascade
 	}
 	p, err := fanin.NewPusher(fanin.PusherConfig{
-		Target: target, Source: name, Deltas: true,
+		Target: target, Source: name,
 		Collect: collect,
 		Epoch:   func() uint64 { n.epoch++; return n.epoch },
 	})

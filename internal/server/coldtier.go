@@ -124,9 +124,7 @@ func (s *Server) rehydrateLocked(key string, st *stream, sp *trace.Span) error {
 	dur := time.Since(start)
 	s.met.rehydrations.Inc()
 	s.met.rehydrateSeconds.ObserveExemplar(dur.Seconds(), sp.TraceID())
-	if sp != nil {
-		sp.ObserveStage("store.rehydrate", dur)
-	}
+	sp.ObserveStage("store.rehydrate", dur)
 	s.logger.Debug("store: rehydrated cold stream",
 		"stream", key, "tenant", st.tenant, "points", rec.Points,
 		"dur_ms", dur.Milliseconds())
@@ -178,10 +176,7 @@ func (s *Server) pickVictim() (string, *stream) {
 // answers keyed on the retired cache. Quota bytes are NOT released:
 // the points are still durably resident and still the tenant's.
 func (s *Server) evict(key string, st *stream, sp *trace.Span) {
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
+	t0 := sp.Start()
 	st.mu.Lock()
 	if st.sum == nil {
 		// Lost a race with another evictor; just make sure the candidate
@@ -208,9 +203,7 @@ func (s *Server) evict(key string, st *stream, sp *trace.Span) {
 	s.pairs.purge(old)
 	s.dropResident(key)
 	s.met.evictions.Inc()
-	if sp != nil {
-		sp.ObserveStage("store.evict", time.Since(t0))
-	}
+	sp.ObserveSince("store.evict", t0)
 	s.logger.Debug("store: evicted idle stream", "stream", key, "tenant", st.tenant)
 }
 

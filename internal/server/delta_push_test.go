@@ -145,7 +145,7 @@ func TestPusherDeltaResyncAfterAggregatorRestart(t *testing.T) {
 
 	epoch := uint64(0)
 	p, err := fanin.NewPusher(fanin.PusherConfig{
-		Target: agg.URL, Source: "f1", Deltas: true,
+		Target: agg.URL, Source: "f1",
 		Collect: folSrv.StreamSnapshots,
 		Epoch:   func() uint64 { epoch++; return epoch },
 	})

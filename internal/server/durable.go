@@ -194,10 +194,3 @@ func (s *Server) dropStorage(id string, st *stream) {
 			"stream", id, "tenant", st.tenant, "err", err)
 	}
 }
-
-// encodeStreamDir / decodeStreamDir are the historical names for the
-// store package's shared key↔filename encoding (the fswal directory
-// layout predates the store extraction; the encoding lives there now).
-func encodeStreamDir(id string) string { return store.EncodeDir(id) }
-
-func decodeStreamDir(name string) (string, bool) { return store.DecodeDir(name) }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/store"
 	"github.com/streamgeom/streamhull/internal/wal"
 	"github.com/streamgeom/streamhull/internal/workload"
 )
@@ -460,21 +462,76 @@ func TestBatchAtomicOnBadInput(t *testing.T) {
 	}
 }
 
+// TestStreamDirEncoding checks the names durable streams get on disk:
+// every directory under DataDir is the filesystem-safe encoding of its
+// stream's key, decodes back to that key, and a restarted server finds
+// each stream again under its original ID.
 func TestStreamDirEncoding(t *testing.T) {
 	for _, id := range []string{"plain", "a/b", "..", ".hidden", "hé%llo", "sp ace", "%41"} {
-		name := encodeStreamDir(id)
+		name := store.EncodeDir(id)
 		if strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
 			t.Fatalf("encode(%q) = %q is not filesystem-safe", id, name)
 		}
-		back, ok := decodeStreamDir(name)
+		back, ok := store.DecodeDir(name)
 		if !ok || back != id {
 			t.Fatalf("decode(encode(%q)) = %q, %v", id, back, ok)
 		}
 	}
-	if _, ok := decodeStreamDir("bad%zz"); ok {
+	if _, ok := store.DecodeDir("bad%zz"); ok {
 		t.Fatal("invalid escape accepted")
 	}
-	if _, ok := decodeStreamDir("has space"); ok {
+	if _, ok := store.DecodeDir("has space"); ok {
 		t.Fatal("unsafe character accepted")
+	}
+
+	dir := t.TempDir()
+	ids := []string{"plain", ".hidden", "hé%llo", "sp ace", "%41"}
+	pts := workload.Take(workload.Ellipse(3, 1, 0.5, 0.2), 200)
+	srvA := mustNew(t, durableConfig(dir))
+	tsA := httptest.NewServer(srvA)
+	want := map[string][]any{}
+	for _, id := range ids {
+		ingest(t, tsA, url.PathEscape(id), pts)
+		want[id], _ = hullVertices(t, tsA, url.PathEscape(id))
+	}
+	// srvA.Close() deliberately never runs: its shutdown checkpoint would
+	// re-base each adaptive summary on its O(r) snapshot, and the replay
+	// below must reproduce the hulls read above bit-for-bit.
+	tsA.Close()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		key, ok := store.DecodeDir(e.Name())
+		if !ok {
+			t.Fatalf("stream directory %q does not decode", e.Name())
+		}
+		if e.Name() != store.EncodeDir(key) || strings.HasPrefix(e.Name(), ".") {
+			t.Fatalf("stream directory %q is not the safe encoding of %q", e.Name(), key)
+		}
+		onDisk[key] = true
+	}
+	for _, id := range ids {
+		if !onDisk[id] {
+			t.Fatalf("stream %q has no directory %q under DataDir", id, store.EncodeDir(id))
+		}
+	}
+
+	srvB := mustNew(t, durableConfig(dir))
+	defer srvB.Close()
+	tsB := httptest.NewServer(srvB)
+	defer tsB.Close()
+	for _, id := range ids {
+		got, n := hullVertices(t, tsB, url.PathEscape(id))
+		if n != float64(len(pts)) {
+			t.Fatalf("stream %q recovered n = %v, want %d", id, n, len(pts))
+		}
+		sameVertices(t, got, want[id])
 	}
 }

@@ -82,7 +82,7 @@ func TestFanInFaultSoakConvergence(t *testing.T) {
 		f.feed = func(n int) []geom.Point { return workload.Take(gen, n) }
 		epoch := uint64(0)
 		p, err := fanin.NewPusher(fanin.PusherConfig{
-			Target: ts.URL, Source: f.name, Deltas: true,
+			Target: ts.URL, Source: f.name,
 			Collect: f.collect(stream, r),
 			Client:  &http.Client{Transport: f.faults, Timeout: 5 * time.Second},
 			Epoch:   func() uint64 { epoch++; return epoch },

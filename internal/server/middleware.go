@@ -95,15 +95,10 @@ func (s *Server) serveAuthed(w http.ResponseWriter, req *http.Request, roleFor f
 		return
 	}
 	sp := trace.FromContext(req.Context())
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
+	t0 := sp.Start()
 	ident, err := s.authp.Authenticate(auth.BearerToken(req.Header.Get("Authorization")))
-	if sp != nil {
-		sp.ObserveStage("auth", time.Since(t0))
-		t0 = time.Now()
-	}
+	sp.ObserveSince("auth", t0)
+	t0 = sp.Start()
 	if err != nil {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="streamhull"`)
 		s.met.denied.With("unauthenticated").Inc()
@@ -124,9 +119,7 @@ func (s *Server) serveAuthed(w http.ResponseWriter, req *http.Request, roleFor f
 		writeErr(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	if sp != nil {
-		sp.ObserveStage("ratelimit", time.Since(t0))
-	}
+	sp.ObserveSince("ratelimit", t0)
 	if roleFor != nil {
 		if need := roleFor(req); need != anyRole && !ident.Roles.Has(need) {
 			s.met.denied.With("forbidden").Inc()

@@ -1067,85 +1067,16 @@ func (s *Server) handlePoints(w http.ResponseWriter, req *http.Request) {
 		writeStreamErr(w, err, http.StatusRequestEntityTooLarge)
 		return
 	}
-	key := qualifyID(ident.Tenant, id)
 	// Stage spans for the ingest hot path. A nil span (tracing off or
-	// unsampled) skips every clock read, so the untraced path stays the
-	// code that ran before tracing existed.
+	// unsampled) skips every clock read.
 	sp := trace.FromContext(req.Context())
 	sp.SetAttr("stream", id)
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	s.touch(st)
-	st.mu.Lock()
-	if sp != nil {
-		sp.ObserveStage("lock_wait", time.Since(t0))
-	}
-	if s.store == nil {
-		// In-memory streams need no WAL ordering, so ingest runs outside
-		// the stream lock: summaries serialize internally, and a sharded
-		// summary deals concurrent batches across shard locks — parallel
-		// POSTs to one stream scale with its fan-out instead of queueing
-		// on st.mu.
-		st.bytes += charge
-		sum := st.sum
-		st.mu.Unlock()
-		if _, err := insertBatchTraced(sum, pts, sp); err != nil {
-			// Unreachable after validation above; fail loudly if a summary
-			// grows new failure modes.
-			st.mu.Lock()
-			st.bytes -= charge
-			st.mu.Unlock()
-			s.ledger.ReleaseBytes(ident.Tenant, charge)
-			writeErr(w, http.StatusInternalServerError, "applying batch: %v", err)
-			return
-		}
-		s.met.ingestPoints.With(ident.Tenant).Add(float64(len(pts)))
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ingested": len(pts), "n": sum.N(), "sample_size": sum.SampleSize(),
-		})
-		return
-	}
-	// A cold stream's first touch rehydrates it before anything is
-	// logged; st.mu is already held, so the load is singleflight.
-	if st.sum == nil {
-		if err := s.rehydrateLocked(key, st, sp); err != nil {
-			st.mu.Unlock()
-			s.ledger.ReleaseBytes(ident.Tenant, charge)
-			writeStreamErr(w, err, http.StatusInternalServerError)
-			return
-		}
-	}
-	// Log first: a batch is acknowledged only after the WAL accepted it,
-	// so the durable log is always a superset of served state. Recovery
-	// replays the log with the same per-record InsertBatch the live path
-	// uses below, so the rebuilt state matches bit-for-bit. Durable
-	// ingest holds st.mu across append+apply to keep WAL order equal to
-	// apply order.
-	if err := appendTraced(st.app, pts, sp); err != nil {
-		st.mu.Unlock()
+	n, sampleSize, err := s.ingest(qualifyID(ident.Tenant, id), st, pts, charge, sp)
+	if err != nil {
 		s.ledger.ReleaseBytes(ident.Tenant, charge)
-		writeErr(w, http.StatusInternalServerError, "logging batch: %v", err)
+		writeStreamErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	if _, err := insertBatchTraced(st.sum, pts, sp); err != nil {
-		st.mu.Unlock()
-		s.ledger.ReleaseBytes(ident.Tenant, charge)
-		writeErr(w, http.StatusInternalServerError, "applying batch: %v", err)
-		return
-	}
-	st.bytes += charge
-	st.sinceCkpt += len(pts)
-	if sp != nil {
-		t0 = time.Now()
-	}
-	s.maybeCheckpointLocked(key, st)
-	if sp != nil {
-		sp.ObserveStage("checkpoint", time.Since(t0))
-	}
-	n, sampleSize := st.sum.N(), st.sum.SampleSize()
-	st.mu.Unlock()
 	s.enforceCap(sp)
 	s.met.ingestPoints.With(ident.Tenant).Add(float64(len(pts)))
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -1153,21 +1084,84 @@ func (s *Server) handlePoints(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// insertBatchTraced applies a batch with prefilter/insert stage spans
-// when a span is live and the summary can report them
-// (streamhull.StagedBatchInserter — same state transition either way);
-// otherwise it is exactly InsertBatch.
-func insertBatchTraced(sum streamhull.Summary, pts []geom.Point, sp *trace.Span) (int, error) {
-	if obs := sp.StageObserver(); obs != nil {
-		if staged, ok := sum.(streamhull.StagedBatchInserter); ok {
-			return staged.InsertBatchObserved(pts, obs)
-		}
-		start := time.Now()
-		n, err := sum.InsertBatch(pts)
-		obs("insert", time.Since(start))
-		return n, err
+// ingest runs one validated batch through its stream — lock, rehydrate
+// if cold, append if durable, apply, account, checkpoint if durable —
+// and returns the stream's new point count and sample size. st.mu is
+// released on return; on error nothing was applied or accounted, and
+// the caller refunds the quota charge.
+//
+// Durable streams log first: a batch is acknowledged only after the WAL
+// accepted it, so the durable log is always a superset of served state.
+// Recovery replays the log with the same per-record InsertBatch the
+// live path uses, so the rebuilt state matches bit-for-bit; st.mu is
+// held across append, apply and checkpoint to keep WAL order equal to
+// apply order. In-memory streams need no WAL ordering, so the batch
+// applies outside the stream lock: summaries serialize internally, and
+// a sharded summary deals concurrent batches across shard locks —
+// parallel POSTs to one stream scale with its fan-out instead of
+// queueing on st.mu.
+func (s *Server) ingest(key string, st *stream, pts []geom.Point, charge int64, sp *trace.Span) (n, sampleSize int, err error) {
+	durable := s.store != nil
+	t0 := sp.Start()
+	s.touch(st)
+	st.mu.Lock()
+	sp.ObserveSince("lock_wait", t0)
+	if st.sum == nil {
+		// A cold stream's first touch rehydrates it before anything is
+		// logged; st.mu is held, so the load is singleflight.
+		err = s.rehydrateLocked(key, st, sp)
 	}
-	return sum.InsertBatch(pts)
+	if err == nil && durable {
+		if err = appendTraced(st.app, pts, sp); err != nil {
+			err = fmt.Errorf("logging batch: %w", err)
+		}
+	}
+	if err != nil {
+		st.mu.Unlock()
+		return 0, 0, err
+	}
+	// Charged while st.mu is held in both modes; a failed apply refunds.
+	st.bytes += charge
+	sum := st.sum
+	if !durable {
+		st.mu.Unlock()
+	}
+	if err := insertBatchTraced(sum, pts, sp); err != nil {
+		// Unreachable after validation; fail loudly if a summary grows
+		// new failure modes.
+		if !durable {
+			st.mu.Lock()
+		}
+		st.bytes -= charge
+		st.mu.Unlock()
+		return 0, 0, fmt.Errorf("applying batch: %w", err)
+	}
+	if !durable {
+		return sum.N(), sum.SampleSize(), nil
+	}
+	st.sinceCkpt += len(pts)
+	t0 = sp.Start()
+	s.maybeCheckpointLocked(key, st)
+	sp.ObserveSince("checkpoint", t0)
+	// A checkpoint may have re-based st.sum; read the live summary.
+	n, sampleSize = st.sum.N(), st.sum.SampleSize()
+	st.mu.Unlock()
+	return n, sampleSize, nil
+}
+
+// insertBatchTraced applies a batch, with prefilter/insert stage spans
+// when the summary can report them (streamhull.StagedBatchInserter,
+// whose nil observer reads no clock) and a single insert stage
+// otherwise.
+func insertBatchTraced(sum streamhull.Summary, pts []geom.Point, sp *trace.Span) error {
+	if staged, ok := sum.(streamhull.StagedBatchInserter); ok {
+		_, err := staged.InsertBatchObserved(pts, sp.StageObserver())
+		return err
+	}
+	t0 := sp.Start()
+	_, err := sum.InsertBatch(pts)
+	sp.ObserveSince("insert", t0)
+	return err
 }
 
 // appendTraced logs a batch with wal_append/wal_fsync stage spans when
@@ -1197,10 +1191,7 @@ func (s *Server) handleHull(w http.ResponseWriter, req *http.Request) {
 	}
 	sp := trace.FromContext(req.Context())
 	sp.SetAttr("stream", req.PathValue("id"))
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
+	t0 := sp.Start()
 	qc, err := s.residentQueries(qualifyID(tenant, req.PathValue("id")), st, sp)
 	if err != nil {
 		writeStreamErr(w, err, http.StatusInternalServerError)
@@ -1214,11 +1205,9 @@ func (s *Server) handleHull(w http.ResponseWriter, req *http.Request) {
 	resp := map[string]any{
 		"vertices": out, "area": qc.Area(), "perimeter": qc.Perimeter(), "n": qc.N(),
 	}
-	if sp != nil {
-		// Epoch-cache revalidation plus (on a miss) the hull fold — the
-		// read path's only real work.
-		sp.ObserveStage("cache_materialize", time.Since(t0))
-	}
+	// Epoch-cache revalidation plus (on a miss) the hull fold — the
+	// read path's only real work.
+	sp.ObserveSince("cache_materialize", t0)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1231,10 +1220,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	sp := trace.FromContext(req.Context())
 	sp.SetAttr("stream", req.PathValue("id"))
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
+	t0 := sp.Start()
 	qc, err := s.residentQueries(qualifyID(tenant, req.PathValue("id")), st, sp)
 	if err != nil {
 		writeStreamErr(w, err, http.StatusInternalServerError)
@@ -1265,9 +1251,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown query type %q", qt)
 		return
 	}
-	if sp != nil {
-		sp.ObserveStage("cache_materialize", time.Since(t0))
-	}
+	sp.ObserveSince("cache_materialize", t0)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1308,11 +1292,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// readSnapshotBody decodes a snapshot request body with the endpoint's
-// content negotiation: binary with Content-Type application/octet-stream,
-// JSON otherwise. On failure it writes the error response itself (413
-// for an oversized body, 400 otherwise) and reports false.
-func (s *Server) readSnapshotBody(w http.ResponseWriter, req *http.Request) (streamhull.Snapshot, bool) {
+// readBody reads a request body bounded by MaxBodyBytes. On failure it
+// writes the error response itself (413 for an oversized body, 400
+// otherwise) and reports false.
+func (s *Server) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -1321,9 +1304,22 @@ func (s *Server) readSnapshotBody(w http.ResponseWriter, req *http.Request) (str
 		} else {
 			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		}
+		return nil, false
+	}
+	return data, true
+}
+
+// readSnapshotBody decodes a snapshot request body with the endpoint's
+// content negotiation: binary with Content-Type application/octet-stream,
+// JSON otherwise. On failure it writes the error response itself (see
+// readBody; 400 for an undecodable snapshot) and reports false.
+func (s *Server) readSnapshotBody(w http.ResponseWriter, req *http.Request) (streamhull.Snapshot, bool) {
+	data, ok := s.readBody(w, req)
+	if !ok {
 		return streamhull.Snapshot{}, false
 	}
 	var snap streamhull.Snapshot
+	var err error
 	if wantsBinary(req.Header.Get("Content-Type")) {
 		err = snap.UnmarshalBinary(data)
 	} else {
@@ -1461,13 +1457,7 @@ func (s *Server) handleSourcePush(w http.ResponseWriter, req *http.Request, sour
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.advertiseSource(agg, req, source)
-	s.met.pushAccepted.Inc()
-	acked, _ := agg.SourceEpoch(source)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"stream": id, "source": source, "epoch": epoch, "acked_epoch": acked,
-		"source_n": snap.N, "n": agg.N(), "sources": len(agg.Sources()),
-	})
+	s.acceptPush(w, req, agg, id, source, epoch, snap.N)
 }
 
 // handleDeltaPush is the delta half of handleSourcePush: decode the
@@ -1475,15 +1465,9 @@ func (s *Server) handleSourcePush(w http.ResponseWriter, req *http.Request, sour
 // epoch this aggregate now holds — or demand a resync when the frame
 // cannot be anchored.
 func (s *Server) handleDeltaPush(w http.ResponseWriter, req *http.Request, agg *streamhull.FanInHull, id, source string) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+	data, ok := s.readBody(w, req)
+	if !ok {
 		s.met.pushRejected.Inc()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		}
 		return
 	}
 	d, err := fanin.DecodeDelta(data)
@@ -1508,13 +1492,20 @@ func (s *Server) handleDeltaPush(w http.ResponseWriter, req *http.Request, agg *
 		}
 		return
 	}
+	s.met.pushDeltas.Inc()
+	s.acceptPush(w, req, agg, id, source, d.Epoch, d.N)
+}
+
+// acceptPush is the success tail shared by full and delta pushes: it
+// records the advertised pull-back address, counts the push, and
+// answers with the epoch the aggregate now holds for the source.
+func (s *Server) acceptPush(w http.ResponseWriter, req *http.Request, agg *streamhull.FanInHull, id, source string, epoch uint64, sourceN int) {
 	s.advertiseSource(agg, req, source)
 	s.met.pushAccepted.Inc()
-	s.met.pushDeltas.Inc()
 	acked, _ := agg.SourceEpoch(source)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"stream": id, "source": source, "epoch": d.Epoch, "acked_epoch": acked,
-		"source_n": d.N, "n": agg.N(), "sources": len(agg.Sources()),
+		"stream": id, "source": source, "epoch": epoch, "acked_epoch": acked,
+		"source_n": sourceN, "n": agg.N(), "sources": len(agg.Sources()),
 	})
 }
 

@@ -28,60 +28,72 @@ func spanNames(rec *trace.Record) map[string]bool {
 }
 
 // TestDurablePostTraceStages is the acceptance check for the ingest hot
-// path: one durable POST under SyncAlways yields a trace whose child
-// spans name every stage — lock wait, batch prefilter, insert, WAL
-// append, group-commit fsync wait, checkpoint — plus the middleware's
-// auth and rate-limit stages.
+// path in both storage modes: one POST yields a trace whose child spans
+// name every stage — lock wait, batch prefilter, insert, and for a
+// durable stream under SyncAlways also WAL append, group-commit fsync
+// wait and checkpoint — plus the middleware's auth and rate-limit
+// stages. An in-memory POST must carry none of the durable stages.
 func TestDurablePostTraceStages(t *testing.T) {
-	tr := trace.New(trace.Config{})
-	srv := mustNew(t, Config{
-		DefaultR: 8, DataDir: t.TempDir(), Sync: wal.SyncAlways, Tracer: tr,
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	common := []string{"auth", "ratelimit", "lock_wait", "prefilter", "insert"}
+	durableOnly := []string{"wal_append", "wal_fsync", "checkpoint"}
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{{"durable", true}, {"in-memory", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.New(trace.Config{})
+			cfg := Config{DefaultR: 8, Tracer: tr}
+			if tc.durable {
+				cfg.DataDir, cfg.Sync = t.TempDir(), wal.SyncAlways
+			}
+			srv := mustNew(t, cfg)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
 
-	if code, body := do(t, "POST", ts.URL+"/v1/streams/clicks/points",
-		map[string]any{"points": [][2]float64{{0, 0}, {4, 0}, {0, 4}, {1, 1}}}); code != http.StatusOK {
-		t.Fatalf("ingest: %d %v", code, body)
-	}
-
-	var rec *trace.Record
-	for _, r := range tr.Traces() {
-		if r.Name == "points" {
-			rec = r
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatalf("no points trace recorded: %v", tr.Traces())
-	}
-	names := spanNames(rec)
-	for _, want := range []string{
-		"auth", "ratelimit", "lock_wait", "prefilter", "insert",
-		"wal_append", "wal_fsync", "checkpoint",
-	} {
-		if !names[want] {
-			t.Errorf("durable POST trace missing stage span %q (got %v)", want, names)
-		}
-	}
-	if rec.Spans[0].Attrs["stream"] != "clicks" {
-		t.Errorf("root span attrs = %v, want stream=clicks", rec.Spans[0].Attrs)
-	}
-
-	// The read path materializes through the epoch cache.
-	if code, _ := do(t, "GET", ts.URL+"/v1/streams/clicks/hull", nil); code != http.StatusOK {
-		t.Fatalf("hull read: %d", code)
-	}
-	var hullRec *trace.Record
-	for _, r := range tr.Traces() {
-		if r.Name == "hull" {
-			hullRec = r
-			break
-		}
-	}
-	if hullRec == nil || !spanNames(hullRec)["cache_materialize"] {
-		t.Errorf("hull trace missing cache_materialize span: %+v", hullRec)
+			if code, body := do(t, "POST", ts.URL+"/v1/streams/clicks/points",
+				map[string]any{"points": [][2]float64{{0, 0}, {4, 0}, {0, 4}, {1, 1}}}); code != http.StatusOK {
+				t.Fatalf("ingest: %d %v", code, body)
+			}
+			var rec *trace.Record
+			for _, r := range tr.Traces() {
+				if r.Name == "points" {
+					rec = r
+					break
+				}
+			}
+			if rec == nil {
+				t.Fatalf("no points trace recorded: %v", tr.Traces())
+			}
+			names := spanNames(rec)
+			for _, want := range common {
+				if !names[want] {
+					t.Errorf("POST trace missing stage span %q (got %v)", want, names)
+				}
+			}
+			for _, stage := range durableOnly {
+				if names[stage] != tc.durable {
+					t.Errorf("POST trace has stage %q = %v, want %v (got %v)", stage, names[stage], tc.durable, names)
+				}
+			}
+			if rec.Spans[0].Attrs["stream"] != "clicks" {
+				t.Errorf("root span attrs = %v, want stream=clicks", rec.Spans[0].Attrs)
+			}
+			// The read path materializes through the epoch cache.
+			if code, _ := do(t, "GET", ts.URL+"/v1/streams/clicks/hull", nil); code != http.StatusOK {
+				t.Fatalf("hull read: %d", code)
+			}
+			var hullRec *trace.Record
+			for _, r := range tr.Traces() {
+				if r.Name == "hull" {
+					hullRec = r
+					break
+				}
+			}
+			if hullRec == nil || !spanNames(hullRec)["cache_materialize"] {
+				t.Errorf("hull trace missing cache_materialize span: %+v", hullRec)
+			}
+		})
 	}
 }
 

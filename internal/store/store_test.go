@@ -320,9 +320,12 @@ func TestBackendMarkers(t *testing.T) {
 }
 
 func TestEncodeDirRoundTrip(t *testing.T) {
-	for _, key := range []string{"plain", "t1/with space", "a.b..", "%", "ünïcode/☃", ""} {
+	for _, key := range []string{
+		"plain", "t1/with space", "a.b..", "%", "ünïcode/☃", "",
+		"..", ".hidden", "a/b", "hé%llo", "%41", "sp ace",
+	} {
 		enc := EncodeDir(key)
-		if strings.ContainsAny(enc, "/. ") {
+		if strings.ContainsAny(enc, "/\\. ") {
 			t.Fatalf("EncodeDir(%q) = %q contains unsafe characters", key, enc)
 		}
 		dec, ok := DecodeDir(enc)
@@ -332,5 +335,8 @@ func TestEncodeDirRoundTrip(t *testing.T) {
 	}
 	if _, ok := DecodeDir("has space"); ok {
 		t.Fatal("DecodeDir accepted a name this package never writes")
+	}
+	if _, ok := DecodeDir("bad%zz"); ok {
+		t.Fatal("DecodeDir accepted an invalid escape")
 	}
 }

@@ -227,9 +227,29 @@ func (s *Span) ObserveStage(name string, d time.Duration) {
 	})
 }
 
+// Start reads the clock for a stage that ObserveSince will close. On a
+// nil span it returns the zero time without reading the clock, so
+// untraced requests pay nothing for stage timing.
+func (s *Span) Start() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveSince records the stage that began at t0 (from Start) and
+// ends now. A no-op on a nil span.
+func (s *Span) ObserveSince(name string, t0 time.Time) {
+	if s == nil {
+		return
+	}
+	s.ObserveStage(name, time.Since(t0))
+}
+
 // StageObserver adapts s to the func(stage, duration) observer shape
 // staged library calls take (streamhull.StagedBatchInserter). Returns
-// nil when s is nil, so callers can branch to the unobserved fast path.
+// nil when s is nil — a nil *Span bound as a method value would not be
+// a nil func — so the library skips its clock reads.
 func (s *Span) StageObserver() func(stage string, d time.Duration) {
 	if s == nil {
 		return nil

@@ -90,12 +90,34 @@ func TestNilSafety(t *testing.T) {
 	if sp.StageObserver() != nil {
 		t.Fatal("nil span returned a non-nil observer")
 	}
+	if t0 := sp.Start(); !t0.IsZero() {
+		t.Fatalf("nil span read the clock: Start() = %v", t0)
+	}
+	sp.ObserveSince("stage", time.Now())
 	if got := tr.Traces(); got != nil {
 		t.Fatalf("nil tracer traces %v", got)
 	}
 	ctx := ContextWithSpan(context.Background(), nil)
 	if FromContext(ctx) != nil {
 		t.Fatal("nil span round-tripped through context as non-nil")
+	}
+}
+
+func TestObserveSinceRecordsStage(t *testing.T) {
+	tr := New(Config{})
+	sp := tr.StartSpan("points", "")
+	t0 := sp.Start()
+	if t0.IsZero() {
+		t.Fatal("live span returned the zero start time")
+	}
+	sp.ObserveSince("lock_wait", t0)
+	sp.End()
+	recs := tr.Traces()
+	if len(recs) != 1 || len(recs[0].Spans) != 2 || recs[0].Spans[1].Name != "lock_wait" {
+		t.Fatalf("want root plus one lock_wait stage, got %+v", recs)
+	}
+	if d := recs[0].Spans[1].DurationMicros; d < 0 {
+		t.Fatalf("lock_wait stage left open: duration %d", d)
 	}
 }
 

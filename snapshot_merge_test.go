@@ -15,10 +15,10 @@ import (
 func TestMergeSnapshotsDifferentR(t *testing.T) {
 	coarse := streamhull.NewAdaptive(4)
 	fine := streamhull.NewAdaptive(64)
-	if err := streamhull.InsertAll(coarse, workload.Take(workload.Disk(1, geom.Pt(-2, 0), 1), 3000)); err != nil {
+	if _, err := coarse.InsertBatch(workload.Take(workload.Disk(1, geom.Pt(-2, 0), 1), 3000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := streamhull.InsertAll(fine, workload.Take(workload.Disk(2, geom.Pt(2, 0), 1), 3000)); err != nil {
+	if _, err := fine.InsertBatch(workload.Take(workload.Disk(2, geom.Pt(2, 0), 1), 3000)); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := streamhull.MergeSnapshots(16, coarse.Snapshot(), fine.Snapshot())
@@ -58,7 +58,7 @@ func TestMergeSnapshotsEmpty(t *testing.T) {
 
 	// An empty snapshot must not perturb a non-empty peer.
 	full := streamhull.NewAdaptive(8)
-	if err := streamhull.InsertAll(full, workload.Take(workload.Disk(3, geom.Point{}, 1), 1000)); err != nil {
+	if _, err := full.InsertBatch(workload.Take(workload.Disk(3, geom.Point{}, 1), 1000)); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := streamhull.MergeSnapshots(8, full.Snapshot(), empty)
@@ -99,7 +99,7 @@ func TestMergeSnapshotsSinglePoint(t *testing.T) {
 	// Single-point ⊕ full disk: the point is an outlier the merged hull
 	// must retain exactly.
 	disk := streamhull.NewAdaptive(8)
-	if err := streamhull.InsertAll(disk, workload.Take(workload.Disk(4, geom.Point{}, 1), 1000)); err != nil {
+	if _, err := disk.InsertBatch(workload.Take(workload.Disk(4, geom.Point{}, 1), 1000)); err != nil {
 		t.Fatal(err)
 	}
 	merged, err = streamhull.MergeSnapshots(8, snap, disk.Snapshot())

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"github.com/streamgeom/streamhull/geom"
-	"github.com/streamgeom/streamhull/internal/convex"
 )
 
 // ErrNonFinite is returned when a stream point has a NaN or infinite
@@ -98,7 +97,8 @@ type Summary interface {
 // surviving insertions — to an observer. The server's request-tracing
 // layer type-asserts for it on the ingest hot path; the observed call
 // must apply exactly the same state transition as InsertBatch so
-// traced and untraced ingest (and WAL replay) stay bit-identical.
+// traced and untraced ingest (and WAL replay) stay bit-identical, and a
+// nil observer must read no clock.
 type StagedBatchInserter interface {
 	InsertBatchObserved(pts []geom.Point, obs func(stage string, d time.Duration)) (int, error)
 }
@@ -120,22 +120,4 @@ func checkFiniteBatch(pts []geom.Point) error {
 		}
 	}
 	return nil
-}
-
-// batchHull prefilters a batch to a superset of its convex-hull
-// vertices (two linear passes, no sort — see convex.ExtremeCandidates):
-// only those candidates can beat any sample direction once the whole
-// batch is in, so the interior never needs to touch the summary.
-func batchHull(pts []geom.Point) []geom.Point {
-	return convex.ExtremeCandidates(pts)
-}
-
-// InsertAll feeds a batch of points into a summary.
-//
-// Deprecated: use Summary.InsertBatch, which validates the whole batch
-// up front (so an error means nothing was applied) and takes the
-// summary's lock once instead of per point.
-func InsertAll(s Summary, pts []geom.Point) error {
-	_, err := s.InsertBatch(pts)
-	return err
 }

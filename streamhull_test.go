@@ -23,7 +23,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestAdaptiveEndToEnd(t *testing.T) {
 	pts := workload.Take(workload.Disk(1, geom.Pt(0, 0), 1), 20000)
 	s := NewAdaptive(16)
-	if err := InsertAll(s, pts); err != nil {
+	if _, err := s.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != len(pts) {
@@ -33,7 +33,7 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 		t.Errorf("SampleSize = %d > 2r+1", got)
 	}
 	exact := NewExact()
-	if err := InsertAll(exact, pts); err != nil {
+	if _, err := exact.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	truth := exact.Hull()
@@ -209,7 +209,7 @@ func TestSeparationMonitorDetectsLoss(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewAdaptive(8)
 	pts := workload.Take(workload.Ellipse(5, 2, 0.25, 0.4), 5000)
-	if err := InsertAll(s, pts); err != nil {
+	if _, err := s.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -248,8 +248,8 @@ func TestDecodeSnapshotRejectsBad(t *testing.T) {
 func TestMergeSnapshots(t *testing.T) {
 	left := NewAdaptive(8)
 	right := NewAdaptive(8)
-	_ = InsertAll(left, workload.Take(workload.Disk(6, geom.Pt(-3, 0), 1), 3000))
-	_ = InsertAll(right, workload.Take(workload.Disk(7, geom.Pt(3, 0), 1), 3000))
+	_, _ = left.InsertBatch(workload.Take(workload.Disk(6, geom.Pt(-3, 0), 1), 3000))
+	_, _ = right.InsertBatch(workload.Take(workload.Disk(7, geom.Pt(3, 0), 1), 3000))
 	merged, err := MergeSnapshots(8, left.Snapshot(), right.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestMergeSnapshots(t *testing.T) {
 func TestExactHullMatchesBatch(t *testing.T) {
 	pts := workload.Take(workload.Gaussian(8, geom.Point{}, 2), 3000)
 	s := NewExact()
-	if err := InsertAll(s, pts); err != nil {
+	if _, err := s.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	want := HullOf(pts)

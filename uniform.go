@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/convex"
 	"github.com/streamgeom/streamhull/internal/fixeddir"
 	"github.com/streamgeom/streamhull/internal/uncert"
 )
@@ -75,7 +76,7 @@ func (s *UniformHull) InsertBatch(pts []geom.Point) (int, error) {
 	}
 	s.mu.Lock()
 	n := s.h.N()
-	for _, p := range batchHull(pts) {
+	for _, p := range convex.ExtremeCandidates(pts) {
 		s.h.Insert(p)
 	}
 	s.h.SetN(n + len(pts))

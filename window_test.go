@@ -27,7 +27,7 @@ func TestWindowedShrinksToLiveSuffix(t *testing.T) {
 	phaseA := workload.Take(workload.Disk(1, geom.Point{}, 50), 6000)
 	phaseB := workload.Take(workload.Disk(2, geom.Pt(1000, 0), 1), 6000)
 	all := append(append([]geom.Point{}, phaseA...), phaseB...)
-	if err := streamhull.InsertAll(w, all); err != nil {
+	if _, err := w.InsertBatch(all); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestWindowedShrinksToLiveSuffix(t *testing.T) {
 	// from the covered suffix, so the Exact hull of that suffix contains
 	// them (up to floating-point slack).
 	exactCovered := streamhull.NewExact()
-	if err := streamhull.InsertAll(exactCovered, all[len(all)-covered:]); err != nil {
+	if _, err := exactCovered.InsertBatch(all[len(all)-covered:]); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range hull.Vertices() {
@@ -66,7 +66,7 @@ func TestWindowedShrinksToLiveSuffix(t *testing.T) {
 	// last-win points up to the compounded adaptive error, which is far
 	// below the suffix diameter for r = 32.
 	exactStrict := streamhull.NewExact()
-	if err := streamhull.InsertAll(exactStrict, all[len(all)-win:]); err != nil {
+	if _, err := exactStrict.InsertBatch(all[len(all)-win:]); err != nil {
 		t.Fatal(err)
 	}
 	diam, _ := exactStrict.Hull().Diameter()
@@ -90,7 +90,7 @@ func TestWindowedByCountBasics(t *testing.T) {
 		t.Fatal("Insert accepted a NaN point")
 	}
 	pts := workload.Take(workload.Disk(3, geom.Point{}, 1), 5000)
-	if err := streamhull.InsertAll(w, pts); err != nil {
+	if _, err := w.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	if w.N() != 5000 {
@@ -114,7 +114,7 @@ func TestWindowedByCountBasics(t *testing.T) {
 	// A window big enough to hold many sealed buckets also exercises the
 	// merge cascade.
 	wide := streamhull.NewWindowedByCount(8, 1000)
-	if err := streamhull.InsertAll(wide, workload.Take(workload.Disk(4, geom.Point{}, 1), 20000)); err != nil {
+	if _, err := wide.InsertBatch(workload.Take(workload.Disk(4, geom.Point{}, 1), 20000)); err != nil {
 		t.Fatal(err)
 	}
 	if st := wide.WindowStats(); st.Expired == 0 || st.Merges == 0 {
@@ -178,7 +178,7 @@ func TestWindowedByTime(t *testing.T) {
 func TestWindowedSnapshotAndMerge(t *testing.T) {
 	w := streamhull.NewWindowedByCount(8, 500)
 	pts := workload.Take(workload.Disk(9, geom.Pt(3, 4), 2), 2000)
-	if err := streamhull.InsertAll(w, pts); err != nil {
+	if _, err := w.InsertBatch(pts); err != nil {
 		t.Fatal(err)
 	}
 	snap := w.Snapshot()
