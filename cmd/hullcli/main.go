@@ -62,6 +62,7 @@ import (
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
 	"github.com/streamgeom/streamhull/internal/fanin"
+	"github.com/streamgeom/streamhull/internal/store"
 )
 
 func main() {
@@ -480,8 +481,8 @@ func runReplay(args []string) {
 
 // replaySummary restores a stream summary from its WAL directory —
 // the same recovery path the server runs at startup.
-func replaySummary(dir string) (*streamhull.WALRecovery, error) {
-	rec, err := streamhull.RecoverFromWAL(dir)
+func replaySummary(dir string) (*store.Recovered, error) {
+	rec, err := store.LoadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("%w (is this a stream directory under hullserver's -data?)", err)
 	}

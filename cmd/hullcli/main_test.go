@@ -76,9 +76,11 @@ func TestReplaySummary(t *testing.T) {
 	if err := l.Checkpoint(data); err != nil {
 		t.Fatal(err)
 	}
-	if ref, err = streamhull.NewAdaptiveFromSnapshot(snap); err != nil {
+	restored, err := streamhull.SummaryFromSnapshot(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ref = restored.(*streamhull.AdaptiveHull)
 	tail := batch(500)
 	if err := l.Append(tail); err != nil {
 		t.Fatal(err)

@@ -39,9 +39,10 @@
 // push set, so tiers cascade: leaf → region → global (see
 // docs/FANIN.md and scripts/cascade_smoke.sh). -push-addr advertises a
 // base URL the aggregator can pull this server's snapshots from, and
-// -pull-after/-pull-every/-pull-token turn on the aggregator side of
+// -pull-after/-pull-token turn on the aggregator side of
 // that: sources that advertised an address and have gone quiet longer
-// than -pull-after get their snapshots fetched directly.
+// than -pull-after get their snapshots fetched directly (the aggregator
+// scans every half -pull-after, at least 100ms apart).
 //
 // With -auth-tokens the API requires a bearer token on every request;
 // each token maps to a tenant (its own stream namespace) and a role set
@@ -114,7 +115,6 @@ func main() {
 		pushAddr  = flag.String("push-addr", "", "base URL the AGGREGATOR can reach this follower on, advertised with every push so lagging state can be pulled (empty = not pullable)")
 		pushAggs  = flag.Bool("push-aggregates", false, "include this server's own fan-in aggregates in the push set — the middle tier of a leaf → region → global cascade")
 		pullAfter = flag.Duration("pull-after", 0, "aggregator side: pull a fan-in source's snapshot from its advertised address when its last push is older than this (0 = never pull)")
-		pullInt   = flag.Duration("pull-every", 0, "how often the aggregator scans for lagging sources (0 = half of -pull-after)")
 		pullTok   = flag.String("pull-token", "", "bearer token the aggregator presents when pulling from followers (needs the read role there)")
 		tokens    = flag.String("auth-tokens", "", "bearer tokens: \"tok=tenant:roles;...\" or @file (empty = open access)")
 		metrics   = flag.Bool("metrics", true, "serve GET /metrics, /healthz and /readyz")
@@ -186,7 +186,6 @@ func main() {
 		},
 		DisableObservability: !*metrics,
 		PullAfter:            *pullAfter,
-		PullInterval:         *pullInt,
 		PullToken:            *pullTok,
 	})
 	if err != nil {

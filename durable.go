@@ -1,109 +1,34 @@
 package streamhull
 
-import (
-	"encoding/json"
-	"fmt"
+import "fmt"
 
-	"github.com/streamgeom/streamhull/geom"
-	"github.com/streamgeom/streamhull/internal/wal"
-)
-
-// WALRecovery is the result of rebuilding a summary from a durable
-// stream directory (as written by the HTTP server's write-ahead log).
-type WALRecovery struct {
-	Summary Summary
-	Spec    Spec   // summary description from the stream's meta
-	Algo    string // legacy head field (== string(Spec.Kind))
-	R       int    // legacy head field (== Spec.R)
-
-	HasCheckpoint bool // a checkpoint payload seeded the summary
-	Segments      int  // log segments replayed after the checkpoint
-	Records       int  // log records replayed
-	Points        int  // log points replayed
-	Torn          bool // a record torn by a crash was dropped
-}
-
-// MetaForSpec builds the WAL meta sidecar for a stream spec: the spec
-// JSON itself plus the legacy algo/r head fields.
-func MetaForSpec(spec Spec) (wal.Meta, error) {
-	if err := spec.Validate(); err != nil {
-		return wal.Meta{}, err
+// Checkpoint encodes a summary's checkpoint payload: the bytes that
+// replace a durable stream's log prefix, decoded by SummaryFromCheckpoint.
+// Windowed summaries seal their full exponential-histogram bucket state
+// (MarshalState), which loses nothing; adaptive and uniform summaries
+// seal their O(r) binary Snapshot (§4–§5: the sample stands in for the
+// whole prefix). Every other kind has no faithful compact capture, so ok
+// is false and its stream keeps the whole log.
+func Checkpoint(sum Summary) (data []byte, ok bool, err error) {
+	switch s := sum.(type) {
+	case *WindowedHull:
+		data, err = s.MarshalState()
+	case *AdaptiveHull:
+		data, err = s.Snapshot().MarshalBinary()
+	case *UniformHull:
+		data, err = s.Snapshot().MarshalBinary()
+	default:
+		return nil, false, nil
 	}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return wal.Meta{}, fmt.Errorf("streamhull: encoding spec: %w", err)
-	}
-	return wal.Meta{Algo: string(spec.Kind), R: spec.R, Spec: data}, nil
-}
-
-// SpecFromMeta recovers a stream's Spec from its WAL meta sidecar,
-// falling back to the legacy algo/r head fields for directories written
-// before specs existed.
-func SpecFromMeta(meta wal.Meta) (Spec, error) {
-	if len(meta.Spec) > 0 {
-		return ParseSpec(string(meta.Spec))
-	}
-	return SpecFor(meta.Algo, meta.R, "")
-}
-
-// RecoverFromWAL rebuilds a stream summary from its write-ahead-log
-// directory: the latest checkpoint first, then the surviving log tail,
-// tolerating a final record torn by a crash. The stream's Spec (from
-// the meta sidecar) says what to build, so every summary kind recovers
-// — windowed streams restore their full bucket structure from a
-// windowed-state checkpoint, everything else restores from a Snapshot.
-// The log tail is replayed batch-at-a-time through InsertBatch, exactly
-// as the server ingested it, so recovery of a checkpointed stream is
-// bit-exact for every kind whose state does not depend on wall-clock
-// arrival times. The one exception is the un-checkpointed tail of a
-// TIME-windowed stream: the log does not record arrival times, so
-// replayed tail points are stamped at recovery time and can linger up
-// to one extra window before aging out — coverage errs on the side of
-// keeping data (the window always covers at least what it should),
-// and checkpointed buckets keep their true timestamps. Count windows
-// recover bit-exactly. It is the one recovery path — the HTTP server
-// uses it at startup and hullcli's replay subcommand uses it offline,
-// so both always agree on what a directory contains.
-func RecoverFromWAL(dir string) (*WALRecovery, error) {
-	meta, err := wal.LoadMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := SpecFromMeta(meta)
-	if err != nil {
-		return nil, fmt.Errorf("stream meta: %w", err)
-	}
-	rec, err := wal.StartRecovery(dir)
-	if err != nil {
-		return nil, err
-	}
-	var sum Summary
-	if data := rec.Snapshot(); data != nil {
-		if sum, err = SummaryFromCheckpoint(spec, data); err != nil {
-			return nil, err
-		}
-	} else if sum, err = New(spec); err != nil {
-		return nil, fmt.Errorf("stream meta: %w", err)
-	}
-	info, err := rec.Replay(func(pts []geom.Point) error {
-		_, err := sum.InsertBatch(pts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &WALRecovery{
-		Summary: sum, Spec: spec, Algo: string(spec.Kind), R: spec.R,
-		HasCheckpoint: info.HasSnapshot, Segments: info.Segments,
-		Records: info.Records, Points: info.Points, Torn: info.Torn,
-	}, nil
+	return data, true, err
 }
 
 // SummaryFromCheckpoint restores a summary from a checkpoint payload:
 // a windowed-state JSON document for windowed streams, a binary
 // Snapshot for everything else. It is the one decoder for checkpoint
-// payloads, shared by the fswal recovery path above and the in-memory
-// store in internal/store, so both agree on what a checkpoint means.
+// payloads: store recovery rebuilds from it, and the server re-bases a
+// live summary through it right after sealing, so both agree on what a
+// checkpoint means.
 func SummaryFromCheckpoint(spec Spec, data []byte) (Summary, error) {
 	if spec.Kind == KindWindowed {
 		if !specJSONPrefix(data) {

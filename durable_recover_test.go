@@ -6,6 +6,7 @@ import (
 
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/store"
 	"github.com/streamgeom/streamhull/internal/wal"
 	"github.com/streamgeom/streamhull/internal/workload"
 )
@@ -15,7 +16,7 @@ import (
 // way.
 func writeStreamDir(t *testing.T, dir string, spec streamhull.Spec, pts []geom.Point, batch int) streamhull.Summary {
 	t.Helper()
-	meta, err := streamhull.MetaForSpec(spec)
+	meta, err := store.MetaForSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestRecoverFromWALAllKinds(t *testing.T) {
 		t.Run(string(spec.Kind), func(t *testing.T) {
 			dir := t.TempDir()
 			ref := writeStreamDir(t, dir, spec, pts, 250)
-			rec, err := streamhull.RecoverFromWAL(dir)
+			rec, err := store.LoadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,9 @@
 // diverges between the original run and the replay. The summary core
 // (internal/core), the geometry prefilter (internal/convex), the
 // fixed-direction variant (internal/fixeddir), the window bucketing
-// (internal/window), WAL recovery (internal/wal recover paths), and
-// the fan-in delta codec (internal/fanin delta paths) therefore must
+// (internal/window), WAL recovery (internal/wal recover paths), the
+// store's rebuild body (internal/store recover paths) and the fan-in
+// delta codec (internal/fanin delta paths) therefore must
 // not touch time.Now and friends directly — time enters only through
 // an injectable clock (see window.Config.Now for the pattern).
 //
@@ -41,6 +42,7 @@ var deterministicPkgs = map[string][]string{
 	"internal/fixeddir": nil,
 	"internal/window":   nil,
 	"internal/wal":      {"recover.go"},
+	"internal/store":    {"recover.go"},
 	"internal/fanin":    {"delta.go"},
 }
 

@@ -9,5 +9,5 @@ import (
 
 func TestNoClock(t *testing.T) {
 	analysistest.Run(t, "testdata", noclock.Analyzer,
-		"internal/core", "internal/wal", "clean")
+		"internal/core", "internal/wal", "internal/store", "clean")
 }

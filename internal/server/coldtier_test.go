@@ -398,7 +398,7 @@ func TestGoldenPreStoreLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := streamhull.Spec{Kind: streamhull.KindAdaptive, R: 16}
-	meta, err := streamhull.MetaForSpec(spec)
+	meta, err := store.MetaForSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,32 +15,19 @@ import (
 // stream the store lists — checkpoint first, then the surviving log
 // tail, replaying the same batches InsertBatch originally applied.
 //
-// Checkpoints compact the log to the summary's live state:
-//
-//   - adaptive and uniform streams seal their O(r) Snapshot and re-base
-//     the live summary on it, so recovery reproduces the served state
-//     exactly;
-//   - windowed streams seal their full exponential-histogram bucket
-//     structure (O(r log n + HeadCap) points, see
-//     streamhull.WindowedHull.MarshalState) — bit-exact without
-//     re-basing, since nothing is lost in the capture;
-//   - exact, partial and partitioned streams have no faithful compact
-//     capture and keep their whole log instead (replay from the start
-//     is deterministic, so recovery is still exact).
+// Checkpoints compact the log to the summary's live state. The payload
+// is streamhull.Checkpoint's: an O(r) Snapshot for adaptive and uniform
+// streams, the full exponential-histogram bucket state for windowed ones
+// (O(r log n + HeadCap) points). After sealing, the live summary is
+// re-based on the payload through streamhull.SummaryFromCheckpoint, the
+// same decoder recovery runs, so recovery reproduces the served state
+// exactly. Exact, partial, partitioned, sharded and fan-in streams have
+// no checkpoint and keep their whole log instead (replay from the start
+// is deterministic, so recovery is still exact).
 //
 // The same O(r) checkpoint is what makes the cold tier (coldtier.go)
 // cheap: evicting an idle stream seals its checkpoint and drops the
 // summary, and rehydration is one Load of a few hundred bytes.
-
-// checkpointable reports whether a summary kind has a faithful
-// checkpoint representation; other kinds retain their full log.
-func checkpointable(kind streamhull.Kind) bool {
-	switch kind {
-	case streamhull.KindAdaptive, streamhull.KindUniform, streamhull.KindWindowed:
-		return true
-	}
-	return false
-}
 
 // recoverStreams restores every stream the store lists: latest
 // checkpoint first, then the surviving log tail, tolerating a record
@@ -107,11 +94,8 @@ func (s *Server) recoverStream(e store.Entry) (*stream, error) {
 }
 
 // maybeCheckpointLocked seals the stream's current state into its log
-// once enough points have accumulated. For adaptive and uniform streams
-// the payload is the O(r) Snapshot and the live summary is re-based on
-// it so a later recovery reproduces the served state exactly; windowed
-// streams seal their full bucket structure, which loses nothing and
-// needs no re-base. Caller holds st.mu.
+// once enough points have accumulated (see checkpointLocked). Caller
+// holds st.mu.
 func (s *Server) maybeCheckpointLocked(id string, st *stream) {
 	if st.sinceCkpt < s.cfg.CheckpointEvery {
 		return
@@ -119,36 +103,24 @@ func (s *Server) maybeCheckpointLocked(id string, st *stream) {
 	s.checkpointLocked(id, st)
 }
 
-// checkpointLocked seals a checkpoint now (see maybeCheckpointLocked).
-// Close and the eviction path also call it directly, so a graceful
-// shutdown or an eviction leaves every checkpointable stream compacted —
-// in particular a time-windowed stream's bucket timestamps are sealed,
-// and neither a routine restart nor a rehydration re-stamps its log
-// tail. Caller holds st.mu.
+// checkpointLocked seals the summary's streamhull.Checkpoint payload
+// into its log, then re-bases the live summary on that payload through
+// streamhull.SummaryFromCheckpoint — the decoder recovery uses — so the
+// served state is exactly what a restart would rebuild. Kinds without a
+// checkpoint keep their whole log. Close and the eviction path also call
+// it directly, so a graceful shutdown or an eviction leaves every
+// checkpointable stream compacted — in particular a time-windowed
+// stream's bucket timestamps are sealed, and neither a routine restart
+// nor a rehydration re-stamps its log tail. Caller holds st.mu.
 func (s *Server) checkpointLocked(id string, st *stream) {
-	if st.app == nil || !checkpointable(st.spec.Kind) {
+	if st.app == nil {
 		return
 	}
-	st.sinceCkpt = 0
-	if wh, ok := st.sum.(*streamhull.WindowedHull); ok {
-		data, err := wh.MarshalState()
-		if err != nil {
-			s.logger.Error("wal: encoding windowed checkpoint failed",
-				"stream", id, "tenant", st.tenant, "err", err)
-			return
-		}
-		if err := st.app.Checkpoint(data); err != nil {
-			s.logger.Error("wal: checkpoint failed",
-				"stream", id, "tenant", st.tenant, "err", err)
-		}
-		return
-	}
-	sn, ok := st.sum.(streamhull.Snapshotter)
+	data, ok, err := streamhull.Checkpoint(st.sum)
 	if !ok {
 		return
 	}
-	snap := sn.Snapshot()
-	data, err := snap.MarshalBinary()
+	st.sinceCkpt = 0
 	if err != nil {
 		s.logger.Error("wal: encoding checkpoint failed",
 			"stream", id, "tenant", st.tenant, "err", err)
@@ -159,7 +131,7 @@ func (s *Server) checkpointLocked(id string, st *stream) {
 			"stream", id, "tenant", st.tenant, "err", err)
 		return
 	}
-	restored, err := streamhull.SummaryFromSnapshot(snap)
+	restored, err := streamhull.SummaryFromCheckpoint(st.spec, data)
 	if err != nil {
 		s.logger.Error("wal: re-basing on checkpoint failed",
 			"stream", id, "tenant", st.tenant, "err", err)

@@ -184,6 +184,81 @@ func TestDurableWindowedKillRecover(t *testing.T) {
 	}
 }
 
+// TestCheckpointRebaseMatchesRecovery: for every checkpointable kind,
+// the summary served right after a checkpoint is what recovery decodes
+// from the sealed payload — the two re-encode to the same bytes, and
+// for uniform and windowed streams those are the sealed bytes
+// themselves (re-sampling an adaptive sample is not idempotent) — and a
+// kill-style restart (no Close) serves the same n and hull.
+func TestCheckpointRebaseMatchesRecovery(t *testing.T) {
+	for name, spec := range map[string]string{
+		"adaptive":     `{"kind":"adaptive","r":16}`,
+		"uniform":      `{"kind":"uniform","r":12}`,
+		"count-window": `{"kind":"windowed","r":8,"window":"500"}`,
+		"time-window":  `{"kind":"windowed","r":8,"window":"10m"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.CheckpointEvery = 600
+			srvA := mustNew(t, cfg)
+			tsA := httptest.NewServer(srvA)
+			createWithSpec(t, tsA, "s", spec)
+			pts := workload.Take(workload.DriftBurst(11, 1, geom.Pt(0.01, 0), 400, 50, 6), 1000)
+			ingest(t, tsA, "s", pts[:600]) // reaches CheckpointEvery: seal and re-base
+
+			rec, err := wal.StartRecovery(filepath.Join(dir, "s"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed := rec.Snapshot()
+			if sealed == nil {
+				t.Fatal("no checkpoint sealed")
+			}
+			st, err := srvA.get("", "s", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, ok, err := streamhull.Checkpoint(st.summary())
+			if err != nil || !ok {
+				t.Fatalf("Checkpoint(served) = ok %v, err %v", ok, err)
+			}
+			parsed, err := streamhull.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := streamhull.SummaryFromCheckpoint(parsed, sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := streamhull.Checkpoint(rebuilt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(served, want) {
+				t.Fatalf("served state is not the sealed checkpoint's decoding (%d vs %d bytes)", len(served), len(want))
+			}
+			if name != "adaptive" && !bytes.Equal(served, sealed) {
+				t.Fatalf("served state does not re-encode to the sealed checkpoint (%d vs %d bytes)", len(served), len(sealed))
+			}
+
+			ingest(t, tsA, "s", pts[600:]) // a log tail past the checkpoint
+			wantVs, wantN := hullVertices(t, tsA, "s")
+			tsA.Close() // srvA.Close() deliberately never runs
+
+			srvB := mustNew(t, cfg)
+			defer srvB.Close()
+			tsB := httptest.NewServer(srvB)
+			defer tsB.Close()
+			gotVs, gotN := hullVertices(t, tsB, "s")
+			if gotN != wantN {
+				t.Fatalf("recovered n = %v, want %v", gotN, wantN)
+			}
+			sameVertices(t, gotVs, wantVs)
+		})
+	}
+}
+
 // TestGracefulCloseSealsCheckpoint: a clean shutdown must leave every
 // checkpointable stream compacted even below CheckpointEvery — in
 // particular a windowed stream's bucket state — and a restart must

@@ -207,10 +207,9 @@ func TestFanInPullThroughFaultyTransport(t *testing.T) {
 	ft.SetPartitioned(true) // ...but partitioned away
 
 	aggSrv := mustNew(t, Config{
-		DefaultR:     r,
-		PullAfter:    50 * time.Millisecond,
-		PullInterval: 25 * time.Millisecond,
-		PullClient:   &http.Client{Transport: ft, Timeout: 2 * time.Second},
+		DefaultR:   r,
+		PullAfter:  50 * time.Millisecond,
+		PullClient: &http.Client{Transport: ft, Timeout: 2 * time.Second},
 	})
 	t.Cleanup(func() { _ = aggSrv.Close() })
 	agg := httptest.NewServer(aggSrv)

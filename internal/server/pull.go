@@ -71,12 +71,9 @@ func newPuller(s *Server) *puller {
 	return &puller{s: s, client: client, state: make(map[string]*pullState)}
 }
 
-// interval is the scan period: PullInterval when set, else half the lag
-// threshold, floored so a tiny threshold cannot spin the loop.
+// interval is the scan period: half the lag threshold, floored so a
+// tiny threshold cannot spin the loop.
 func (p *puller) interval() time.Duration {
-	if iv := p.s.cfg.PullInterval; iv > 0 {
-		return iv
-	}
 	iv := p.s.cfg.PullAfter / 2
 	if iv < 100*time.Millisecond {
 		iv = 100 * time.Millisecond

@@ -226,11 +226,9 @@ type Config struct {
 	// fan-in source whose last accepted push is older than this, and
 	// which advertised a pull-back address on its pushes (?addr=), has
 	// its snapshot fetched by the aggregator itself and applied as a
-	// wall-clock-stamped full push. See pull.go.
+	// wall-clock-stamped full push. The pull loop scans every
+	// PullAfter/2, floored at 100ms. See pull.go.
 	PullAfter time.Duration
-	// PullInterval is the pull loop's scan period (0 = PullAfter/2,
-	// floored at 100ms).
-	PullInterval time.Duration
 	// PullToken is the bearer token pulls present to followers.
 	PullToken string
 	// PullClient overrides the HTTP client used for pulls (nil = a
@@ -732,6 +730,11 @@ func (s *Server) addStreamLocked(tenant, id string, sum streamhull.Summary, chec
 	s.streams[key] = st
 	s.admit(key, st)
 	s.touch(st)
+	// Only time windows age out between inserts and need the background
+	// sweeper; count windows expire on insert.
+	if wh, ok := sum.(*streamhull.WindowedHull); ok && wh.ByTime() {
+		s.startSweeper()
+	}
 	return st, nil
 }
 
@@ -764,11 +767,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	if _, err := s.addStream(ident.Tenant, id, sum, nil); err != nil {
 		writeStreamErr(w, err, http.StatusConflict)
 		return
-	}
-	// Only time windows age out between inserts and need the background
-	// sweeper; count windows expire on insert.
-	if wh, ok := sum.(*streamhull.WindowedHull); ok && wh.ByTime() {
-		s.startSweeper()
 	}
 	writeJSON(w, http.StatusCreated, createResponse(id, sum.Spec()))
 }
@@ -984,9 +982,6 @@ func (s *Server) get(tenant, id string, autocreate bool) (*stream, error) {
 	}
 	st, err = s.addStream(tenant, id, sum, nil)
 	if err == nil {
-		if wh, ok := sum.(*streamhull.WindowedHull); ok && wh.ByTime() {
-			s.startSweeper()
-		}
 		return st, nil
 	}
 	// Lost a create race: the stream exists now.
@@ -1363,16 +1358,17 @@ func (s *Server) handleRestore(w http.ResponseWriter, req *http.Request) {
 	}
 	// Durable restores persist a checkpoint immediately, so the stream
 	// survives a crash that happens before its first regular checkpoint.
-	// The payload must match what recovery expects for the kind:
-	// windowed streams checkpoint their bucket state, the rest the
-	// snapshot binary. It is sealed inside addStream, before the stream
+	// Windowed streams seal their restored state's checkpoint (bucket
+	// state, not a snapshot); every other kind seals the incoming
+	// snapshot bytes, because re-sampling an adaptive sample is not
+	// idempotent. It is sealed inside addStream, before the stream
 	// becomes visible — a checkpoint written after publication could
 	// race a concurrent ingest and compact its log record away.
 	var checkpoint []byte
 	if s.store != nil {
 		var cerr error
-		if wh, ok := sum.(*streamhull.WindowedHull); ok {
-			checkpoint, cerr = wh.MarshalState()
+		if _, ok := sum.(*streamhull.WindowedHull); ok {
+			checkpoint, _, cerr = streamhull.Checkpoint(sum)
 		} else {
 			checkpoint, cerr = snap.MarshalBinary()
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
 	"github.com/streamgeom/streamhull/internal/workload"
 )
@@ -369,6 +370,47 @@ func TestTimeWindowSweep(t *testing.T) {
 	}
 	if vs, ok := hull["vertices"].([]any); ok && len(vs) != 0 {
 		t.Fatalf("hull still has %d vertices after expiry", len(vs))
+	}
+}
+
+// TestRestoredTimeWindowIsSwept: a time window installed by a snapshot
+// restore gets the background sweeper just like a created one. Nothing
+// reads or writes the stream, so only the sweeper can age its points
+// out and move the summary's epoch.
+func TestRestoredTimeWindowIsSwept(t *testing.T) {
+	srv := mustNew(t, Config{DefaultR: 16, SweepInterval: 10 * time.Millisecond})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	src, err := streamhull.New(streamhull.Spec{Kind: streamhull.KindWindowed, R: 8, Window: "50ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.InsertBatch(workload.Take(workload.Disk(1, geom.Point{}, 1), 200)); err != nil {
+		t.Fatal(err)
+	}
+	body := mustEncode(t, src.(streamhull.Snapshotter).Snapshot())
+	resp, err := http.Post(ts.URL+"/v1/streams/tw/snapshot", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("restore: %d", resp.StatusCode)
+	}
+	st, err := srv.get("", "tw", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := st.summary().(*streamhull.WindowedHull)
+	before := wh.Epoch()
+	deadline := time.Now().Add(5 * time.Second)
+	for wh.Epoch() == before {
+		if time.Now().After(deadline) {
+			t.Fatalf("restored time window never swept: epoch stayed %d", before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

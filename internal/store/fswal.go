@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -72,7 +73,7 @@ func (s *fswal) List() ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: stream %q: %w", key, err)
 		}
-		spec, err := streamhull.SpecFromMeta(meta)
+		spec, err := specFromMeta(meta)
 		if err != nil {
 			return nil, fmt.Errorf("store: stream %q meta: %w", key, err)
 		}
@@ -82,7 +83,7 @@ func (s *fswal) List() ([]Entry, error) {
 }
 
 func (s *fswal) Create(key string, spec streamhull.Spec) (Appender, error) {
-	meta, err := streamhull.MetaForSpec(spec)
+	meta, err := MetaForSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -100,36 +101,32 @@ func (s *fswal) Create(key string, spec streamhull.Spec) (Appender, error) {
 }
 
 func (s *fswal) Open(key string) (Appender, error) {
-	dir := s.streamDir(key)
-	if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: stream %q: %w", key, ErrNotFound)
-		}
-		return nil, fmt.Errorf("store: stream %q: %w", key, err)
+	dir, err := s.existingDir(key)
+	if err != nil {
+		return nil, err
 	}
 	return wal.Open(dir, s.opts)
 }
 
 func (s *fswal) Load(key string) (*Recovered, error) {
-	dir := s.streamDir(key)
-	if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: stream %q: %w", key, ErrNotFound)
-		}
-		return nil, fmt.Errorf("store: stream %q: %w", key, err)
-	}
-	rec, err := streamhull.RecoverFromWAL(dir)
+	dir, err := s.existingDir(key)
 	if err != nil {
 		return nil, err
 	}
-	return &Recovered{
-		Summary:       rec.Summary,
-		Spec:          rec.Spec,
-		HasCheckpoint: rec.HasCheckpoint,
-		Records:       rec.Records,
-		Points:        rec.Points,
-		Torn:          rec.Torn,
-	}, nil
+	return LoadDir(dir)
+}
+
+// existingDir returns the directory of a stream that has storage:
+// ErrNotFound when its meta sidecar is missing.
+func (s *fswal) existingDir(key string) (string, error) {
+	dir := s.streamDir(key)
+	if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
+		if os.IsNotExist(err) {
+			return "", fmt.Errorf("store: stream %q: %w", key, ErrNotFound)
+		}
+		return "", fmt.Errorf("store: stream %q: %w", key, err)
+	}
+	return dir, nil
 }
 
 func (s *fswal) Delete(key string) error {
@@ -147,3 +144,26 @@ func (s *fswal) Delete(key string) error {
 }
 
 func (s *fswal) Close() error { return nil }
+
+// MetaForSpec builds the WAL meta sidecar for a stream spec: the spec
+// JSON itself plus the legacy algo/r head fields.
+func MetaForSpec(spec streamhull.Spec) (wal.Meta, error) {
+	if err := spec.Validate(); err != nil {
+		return wal.Meta{}, err
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return wal.Meta{}, fmt.Errorf("store: encoding spec: %w", err)
+	}
+	return wal.Meta{Algo: string(spec.Kind), R: spec.R, Spec: data}, nil
+}
+
+// specFromMeta recovers a stream's Spec from its WAL meta sidecar,
+// falling back to the legacy algo/r head fields for directories written
+// before specs existed.
+func specFromMeta(meta wal.Meta) (streamhull.Spec, error) {
+	if len(meta.Spec) > 0 {
+		return streamhull.ParseSpec(string(meta.Spec))
+	}
+	return streamhull.SpecFor(meta.Algo, meta.R, "")
+}

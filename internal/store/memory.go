@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/wal"
 )
 
 // memory keeps every stream's log and checkpoint in process memory —
@@ -22,8 +24,7 @@ type memory struct {
 type memStream struct {
 	spec    streamhull.Spec
 	batches [][]geom.Point
-	ckpt    []byte
-	hasCkpt bool
+	ckpt    []byte // nil until the first checkpoint
 }
 
 // NewMemory returns an empty in-memory store.
@@ -70,25 +71,20 @@ func (s *memory) Load(key string) (*Recovered, error) {
 	if ms == nil {
 		return nil, fmt.Errorf("store: stream %q: %w", key, ErrNotFound)
 	}
-	rec := &Recovered{Spec: ms.spec}
-	var sum streamhull.Summary
-	var err error
-	if ms.hasCkpt {
-		if sum, err = streamhull.SummaryFromCheckpoint(ms.spec, ms.ckpt); err != nil {
-			return nil, fmt.Errorf("store: stream %q: %w", key, err)
+	rec, err := rebuild(ms.spec, ms.ckpt, func(insert func([]geom.Point) error) (wal.Info, error) {
+		var info wal.Info
+		for _, pts := range ms.batches {
+			if err := insert(pts); err != nil {
+				return info, fmt.Errorf("replay: %w", err)
+			}
+			info.Records++
+			info.Points += len(pts)
 		}
-		rec.HasCheckpoint = true
-	} else if sum, err = streamhull.New(ms.spec); err != nil {
+		return info, nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("store: stream %q: %w", key, err)
 	}
-	for _, pts := range ms.batches {
-		if _, err := sum.InsertBatch(pts); err != nil {
-			return nil, fmt.Errorf("store: stream %q: replay: %w", key, err)
-		}
-		rec.Records++
-		rec.Points += len(pts)
-	}
-	rec.Summary = sum
 	return rec, nil
 }
 
@@ -140,8 +136,7 @@ func (a *memAppender) Checkpoint(snap []byte) error {
 	if ms == nil {
 		return fmt.Errorf("store: stream %q: %w", a.key, ErrNotFound)
 	}
-	ms.ckpt = append([]byte(nil), snap...)
-	ms.hasCkpt = true
+	ms.ckpt = bytes.Clone(snap)
 	ms.batches = nil
 	return nil
 }

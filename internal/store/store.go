@@ -6,7 +6,7 @@
 //     holding a segmented write-ahead log, a meta sidecar and a
 //     checkpoint file (internal/wal). Data directories written before
 //     this package existed open unchanged, and `hullcli replay` reads
-//     any stream directory it writes.
+//     any stream directory it writes through LoadDir.
 //   - memory (NewMemory): everything in process memory, for tests and
 //     experiments that inject it through server.Config.Store.
 //
@@ -26,9 +26,13 @@
 //     releases the handle (fswal: the per-stream log's file descriptor)
 //     without deleting anything — that is the eviction path. Delete
 //     removes the stream's storage entirely.
-//   - Checkpoint payloads are opaque bytes here; they are produced by
-//     the server (snapshot binary, or windowed bucket state) and
-//     decoded by streamhull.SummaryFromCheckpoint at Load time.
+//   - Checkpoint payloads are opaque bytes to the Appender; they are
+//     produced by streamhull.Checkpoint (snapshot binary, or windowed
+//     bucket state) and decoded by streamhull.SummaryFromCheckpoint.
+//   - Both Loads run one rebuild body (recover.go): the checkpoint or a
+//     fresh summary from the spec, then the log tail through
+//     InsertBatch, exactly as ingest applied it. It reads no clock
+//     (the noclock analyzer checks the file).
 package store
 
 import (
@@ -53,18 +57,6 @@ type Entry struct {
 	Key    string
 	Tenant string
 	Spec   streamhull.Spec
-}
-
-// Recovered is the result of Load: the rebuilt summary plus what the
-// rebuild consumed, mirroring streamhull.WALRecovery.
-type Recovered struct {
-	Summary streamhull.Summary
-	Spec    streamhull.Spec
-
-	HasCheckpoint bool // a checkpoint payload seeded the summary
-	Records       int  // log records replayed after the checkpoint
-	Points        int  // log points replayed
-	Torn          bool // a record torn by a crash was dropped
 }
 
 // Appender is a caller-owned handle for appending to one stream's log.

@@ -260,7 +260,7 @@ func TestBackendReopen(t *testing.T) {
 func TestFSWALOpensLegacyLayout(t *testing.T) {
 	root := t.TempDir()
 	spec := adaptiveSpec(16)
-	meta, err := streamhull.MetaForSpec(spec)
+	meta, err := MetaForSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

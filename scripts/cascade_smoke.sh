@@ -19,7 +19,7 @@ go build -o "$BIN/hullserver" ./cmd/hullserver
 "$BIN/hullserver" -addr "$GLO_ADDR" &
 "$BIN/hullserver" -addr "$REG_ADDR" \
   -push-to "http://$GLO_ADDR" -push-every 300ms -push-source region1 \
-  -push-aggregates -pull-after 700ms -pull-every 300ms &
+  -push-aggregates -pull-after 700ms &
 "$BIN/hullserver" -addr "$LEAF_ADDR" \
   -push-to "http://$REG_ADDR" -push-every 300ms -push-source leaf1 \
   -push-addr "http://$LEAF_ADDR" &

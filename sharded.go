@@ -1,7 +1,6 @@
 package streamhull
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/streamgeom/streamhull/geom"
@@ -143,7 +142,7 @@ func (s *ShardedHull) Epoch() uint64 { return s.epoch.Load() }
 // Shards whose inner kind records sample directions (adaptive, uniform)
 // contribute their direction/extremum pairs; exact shards contribute
 // their hull vertices with zero angles (the angle column is advisory —
-// NewShardedFromSnapshot restores from the points alone).
+// SummaryFromSnapshot restores from the points alone).
 func (s *ShardedHull) Snapshot() Snapshot {
 	spec := s.spec
 	snap := Snapshot{Kind: string(KindSharded), R: spec.Inner.R, N: s.N(), Spec: &spec}
@@ -163,37 +162,4 @@ func (s *ShardedHull) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// NewShardedFromSnapshot rebuilds a sharded summary from a snapshot
-// captured by (*ShardedHull).Snapshot, preserving the stream count N.
-// Like MergeSnapshots, the restore streams the snapshot's sample points
-// through a fresh summary built from the embedded Spec — deterministic,
-// so checkpoint-then-recover always converges to one state — and keeps
-// the two-level error of re-sampling a sample.
-func NewShardedFromSnapshot(s Snapshot) (*ShardedHull, error) {
-	if s.Kind != string(KindSharded) {
-		return nil, fmt.Errorf("streamhull: restoring sharded summary from %q snapshot", s.Kind)
-	}
-	if s.Spec == nil {
-		return nil, fmt.Errorf("streamhull: sharded snapshot carries no spec; cannot size the fan-out")
-	}
-	spec := *s.Spec
-	if spec.Kind != KindSharded {
-		return nil, fmt.Errorf("streamhull: sharded snapshot carries %q spec", spec.Kind)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	h, err := buildSharded(spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h.InsertBatch(s.Points); err != nil {
-		return nil, err
-	}
-	if n := int64(s.N); n > h.n.Load() {
-		h.n.Store(n)
-	}
-	return h, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/streamgeom/streamhull/geom"
-	"github.com/streamgeom/streamhull/internal/core"
 )
 
 // Restoring a summary from its own snapshot is the durability story the
@@ -24,69 +23,30 @@ import (
 // refinement structure. Restoring the same snapshot is deterministic,
 // so checkpoint-then-recover always converges to one answer.
 
-// NewAdaptiveFromSnapshot rebuilds an adaptive summary from a snapshot
-// captured by (*AdaptiveHull).Snapshot, preserving the stream count N.
-// A snapshot carrying its Spec restores the full configuration (height
-// limit, fixed budget, bounded work); explicit opts override it.
-func NewAdaptiveFromSnapshot(s Snapshot, opts ...AdaptiveOption) (*AdaptiveHull, error) {
-	if s.Kind != "adaptive" {
-		return nil, fmt.Errorf("streamhull: restoring adaptive summary from %q snapshot", s.Kind)
-	}
-	if len(s.Angles) != len(s.Points) {
-		return nil, fmt.Errorf("streamhull: snapshot has %d angles but %d points",
-			len(s.Angles), len(s.Points))
-	}
-	if s.R < 4 {
-		return nil, fmt.Errorf("streamhull: adaptive snapshot has r = %d, want ≥ 4", s.R)
-	}
-	var spec Spec
-	if s.Spec != nil && len(opts) == 0 {
-		spec = *s.Spec
-		if spec.Kind != KindAdaptive {
-			return nil, fmt.Errorf("streamhull: adaptive snapshot carries %q spec", spec.Kind)
-		}
-		if spec.R != s.R {
-			return nil, fmt.Errorf("streamhull: snapshot r = %d does not match its spec r = %d",
-				s.R, spec.R)
-		}
-	} else {
-		// Validate through the spec even on the legacy path: snapshots
-		// are untrusted input (HTTP restore endpoint, on-disk
-		// checkpoints), and the bare constructors panic on a bad r.
-		cfg := core.Config{R: s.R}
-		for _, o := range opts {
-			o(&cfg)
-		}
-		spec = adaptiveSpec(cfg)
-	}
-	if err := spec.Validate(); err != nil {
+// SummaryFromSnapshot rebuilds the summary a snapshot came from,
+// dispatching on its kind; it is the one snapshot restore. Adaptive and
+// uniform snapshots re-insert their sample point by point and keep the
+// snapshot's stream count N; a uniform snapshot with ≥ 3 directions
+// reuses them, so summaries built with NewFixedDirections restore
+// exactly too. Windowed and sharded restores are approximate: a
+// window's snapshot is its folded recent sample, not its bucket
+// structure (that is MarshalState, the durability path), and a sharded
+// snapshot is the union of its shard samples, so each seeds a fresh
+// summary from the embedded Spec with the same two-level error as
+// MergeSnapshots. Exact, partial and partitioned summaries have no
+// snapshot form at all.
+func SummaryFromSnapshot(s Snapshot) (Summary, error) {
+	spec, err := restoreSpec(s)
+	if err != nil {
 		return nil, err
 	}
-	h := buildAdaptive(spec)
-	for _, p := range s.Points {
-		if err := h.Insert(p); err != nil {
-			return nil, err
+	switch spec.Kind {
+	case KindAdaptive:
+		return reinsert(buildAdaptive(spec), s)
+	case KindUniform:
+		if len(s.Angles) < 3 {
+			return reinsert(buildUniform(spec), s)
 		}
-	}
-	h.setN(s.N)
-	return h, nil
-}
-
-// NewUniformFromSnapshot rebuilds a uniform summary from a snapshot
-// captured by (*UniformHull).Snapshot, preserving the stream count N.
-// The snapshot's own direction set is reused, so summaries built with
-// NewFixedDirections restore exactly too.
-func NewUniformFromSnapshot(s Snapshot) (*UniformHull, error) {
-	if s.Kind != "uniform" {
-		return nil, fmt.Errorf("streamhull: restoring uniform summary from %q snapshot", s.Kind)
-	}
-	if len(s.Angles) != len(s.Points) {
-		return nil, fmt.Errorf("streamhull: snapshot has %d angles but %d points",
-			len(s.Angles), len(s.Points))
-	}
-	var h *UniformHull
-	switch {
-	case len(s.Angles) >= 3:
 		for i, a := range s.Angles {
 			if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 || a >= geom.TwoPi {
 				return nil, fmt.Errorf("streamhull: snapshot angle %d = %v out of [0, 2π)", i, a)
@@ -95,19 +55,74 @@ func NewUniformFromSnapshot(s Snapshot) (*UniformHull, error) {
 				return nil, fmt.Errorf("streamhull: snapshot angles not strictly increasing at %d", i)
 			}
 		}
-		h = NewFixedDirections(s.Angles)
-	case s.R >= 3:
-		// An empty snapshot carries no extrema; rebuild the direction set
-		// from r alone. Validate through the spec — snapshots are
-		// untrusted input and NewUniform panics on a bad r.
-		spec := Spec{Kind: KindUniform, R: s.R}
-		if err := spec.Validate(); err != nil {
+		return reinsert(NewFixedDirections(s.Angles), s)
+	case KindWindowed:
+		w, err := buildWindowed(spec, nil)
+		if err != nil {
 			return nil, err
 		}
-		h = buildUniform(spec)
-	default:
-		return nil, fmt.Errorf("streamhull: uniform snapshot has r = %d, want ≥ 3", s.R)
+		if _, err := w.InsertBatch(s.Points); err != nil {
+			return nil, err
+		}
+		return w, nil
+	default: // KindSharded
+		h, err := buildSharded(spec)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := h.InsertBatch(s.Points); err != nil {
+			return nil, err
+		}
+		if n := int64(s.N); n > h.n.Load() {
+			h.n.Store(n)
+		}
+		return h, nil
 	}
+}
+
+// restoreSpec is SummaryFromSnapshot's validation prologue: it checks
+// the snapshot's shape and returns the validated Spec to rebuild from.
+// Snapshots are untrusted input (HTTP restore endpoint, on-disk
+// checkpoints), so everything is validated through the Spec — the bare
+// constructors panic on a bad r.
+func restoreSpec(s Snapshot) (Spec, error) {
+	kind := Kind(s.Kind)
+	switch kind {
+	case KindAdaptive, KindUniform, KindWindowed, KindSharded:
+	default:
+		return Spec{}, fmt.Errorf("streamhull: snapshot kind %q cannot be restored", s.Kind)
+	}
+	if len(s.Angles) != len(s.Points) {
+		return Spec{}, fmt.Errorf("streamhull: snapshot has %d angles but %d points",
+			len(s.Angles), len(s.Points))
+	}
+	var spec Spec
+	switch {
+	case s.Spec != nil:
+		spec = *s.Spec
+		if spec.Kind != kind {
+			return Spec{}, fmt.Errorf("streamhull: %s snapshot carries %q spec", kind, spec.Kind)
+		}
+		if kind == KindAdaptive && spec.R != s.R {
+			return Spec{}, fmt.Errorf("streamhull: snapshot r = %d does not match its spec r = %d",
+				s.R, spec.R)
+		}
+	case kind == KindAdaptive || kind == KindUniform:
+		// A pre-spec snapshot: r alone describes the summary.
+		spec = Spec{Kind: kind, R: s.R}
+	default:
+		return Spec{}, fmt.Errorf("streamhull: %s snapshot carries no spec; cannot size the summary", kind)
+	}
+	return spec, spec.Validate()
+}
+
+// reinsert re-inserts a snapshot's sample point by point — the order
+// the adaptive and uniform restores depend on for bit-exactness — then
+// adopts the snapshot's stream count.
+func reinsert(h interface {
+	Summary
+	setN(n int)
+}, s Snapshot) (Summary, error) {
 	for _, p := range s.Points {
 		if err := h.Insert(p); err != nil {
 			return nil, err
@@ -115,57 +130,6 @@ func NewUniformFromSnapshot(s Snapshot) (*UniformHull, error) {
 	}
 	h.setN(s.N)
 	return h, nil
-}
-
-// NewWindowedFromSnapshot rebuilds a windowed summary from a snapshot
-// captured by (*WindowedHull).Snapshot. A window's snapshot is its
-// folded recent sample, not its bucket structure (that is MarshalState,
-// the durability path), so the restore is approximate: the sample seeds
-// a fresh window built from the snapshot's embedded Spec, standing in
-// for the sender's recent data with the same two-level error as
-// MergeSnapshots; window coverage restarts from the sample.
-func NewWindowedFromSnapshot(s Snapshot) (*WindowedHull, error) {
-	if s.Kind != "windowed" {
-		return nil, fmt.Errorf("streamhull: restoring windowed summary from %q snapshot", s.Kind)
-	}
-	if s.Spec == nil {
-		return nil, fmt.Errorf("streamhull: windowed snapshot carries no spec; cannot size the window")
-	}
-	spec := *s.Spec
-	if spec.Kind != KindWindowed {
-		return nil, fmt.Errorf("streamhull: windowed snapshot carries %q spec", spec.Kind)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := buildWindowed(spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.InsertBatch(s.Points); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// SummaryFromSnapshot rebuilds the summary a snapshot came from,
-// dispatching on its kind. Windowed and sharded restores are
-// approximate (see NewWindowedFromSnapshot, NewShardedFromSnapshot);
-// exact, partial and partitioned summaries have no snapshot form at
-// all.
-func SummaryFromSnapshot(s Snapshot) (Summary, error) {
-	switch s.Kind {
-	case "adaptive":
-		return NewAdaptiveFromSnapshot(s)
-	case "uniform":
-		return NewUniformFromSnapshot(s)
-	case "windowed":
-		return NewWindowedFromSnapshot(s)
-	case "sharded":
-		return NewShardedFromSnapshot(s)
-	default:
-		return nil, fmt.Errorf("streamhull: snapshot kind %q cannot be restored", s.Kind)
-	}
 }
 
 // setN overrides the stream count after a snapshot restore. The

@@ -16,7 +16,7 @@ func TestUniformRestoreIsExact(t *testing.T) {
 		}
 	}
 	snap := u.Snapshot()
-	got, err := streamhull.NewUniformFromSnapshot(snap)
+	got, err := streamhull.SummaryFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestAdaptiveRestoreDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	snap := a.Snapshot()
-	r1, err := streamhull.NewAdaptiveFromSnapshot(snap)
+	r1, err := streamhull.SummaryFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := streamhull.NewAdaptiveFromSnapshot(snap)
+	r2, err := streamhull.SummaryFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,7 +372,7 @@ func (s *WindowedHull) MarshalState() ([]byte, error) {
 // original timestamps, so everything captured in the state ages out
 // correctly after downtime. Note the caveat for WAL-tail replay on
 // time windows: points replayed on top of the restored state (see
-// RecoverFromWAL) are stamped at replay time, not original arrival
+// store.LoadDir) are stamped at replay time, not original arrival
 // time — coverage is one-sidedly conservative, never lost.
 func NewWindowedFromState(spec Spec, data []byte, clock func() time.Time) (*WindowedHull, error) {
 	if spec.Kind != KindWindowed {
