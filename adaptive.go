@@ -22,44 +22,8 @@ type AdaptiveHull struct {
 	epoch atomic.Uint64
 }
 
-// AdaptiveOption customizes NewAdaptive.
-type AdaptiveOption func(*core.Config)
-
-// WithHeightLimit sets the refinement-tree height limit k (§5.1). The
-// default is the paper's recommended k = ⌊log2 r⌋; smaller values trade
-// accuracy for less refinement churn (k = 0 is not allowed; use NewUniform
-// for purely uniform sampling).
-func WithHeightLimit(k int) AdaptiveOption {
-	return func(c *core.Config) { c.Height = k }
-}
-
-// WithFixedBudget switches to the fixed-budget variant used in the
-// paper's experiments (§7): the summary maintains exactly total sample
-// directions at all times, refining maximum-weight edges even past the
-// weight threshold. total must be ≥ r.
-func WithFixedBudget(total int) AdaptiveOption {
-	return func(c *core.Config) { c.TargetDirs = total }
-}
-
-// WithBoundedWork enables the worst-case update variant sketched at the
-// end of §5.3: at most maxUnrefinements unrefinement steps run per
-// insert, with the remainder deferred (deferred work never hurts
-// accuracy, only holds a few extra samples). Use when per-point latency
-// must be tightly bounded, e.g. on sensor nodes.
-func WithBoundedWork(maxUnrefinements int) AdaptiveOption {
-	return func(c *core.Config) { c.MaxUnrefinePerInsert = maxUnrefinements }
-}
-
-// adaptiveSpec compiles an option-configured core.Config down to the
-// serializable Spec the summary reports and recovery rebuilds from.
-func adaptiveSpec(cfg core.Config) Spec {
-	return Spec{
-		Kind: KindAdaptive, R: cfg.R,
-		HeightLimit: cfg.Height, FixedBudget: cfg.TargetDirs, BoundedWork: cfg.MaxUnrefinePerInsert,
-	}
-}
-
-// adaptiveConfig is the inverse of adaptiveSpec.
+// adaptiveConfig compiles an adaptive Spec down to the core summary's
+// configuration.
 func adaptiveConfig(spec Spec) core.Config {
 	return core.Config{
 		R: spec.R, Height: spec.HeightLimit,
@@ -73,15 +37,13 @@ func buildAdaptive(spec Spec) *AdaptiveHull {
 	return &AdaptiveHull{h: core.New(adaptiveConfig(spec)), r: spec.R, spec: spec}
 }
 
-// NewAdaptive returns an adaptive hull summary with parameter r ≥ 4. It
-// is a thin wrapper over New(Spec); it panics on invalid parameters
-// where New returns an error.
-func NewAdaptive(r int, opts ...AdaptiveOption) *AdaptiveHull {
-	cfg := core.Config{R: r}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	spec := adaptiveSpec(cfg)
+// NewAdaptive returns an adaptive hull summary with parameter r ≥ 4 and
+// the paper's defaults. It is a thin wrapper over New(Spec); it panics on
+// invalid parameters where New returns an error. The §5.1 height limit,
+// the §5.3 bounded-work variant and the §7 fixed budget are Spec fields:
+// build those summaries with New.
+func NewAdaptive(r int) *AdaptiveHull {
+	spec := Spec{Kind: KindAdaptive, R: r}
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -90,19 +52,15 @@ func NewAdaptive(r int, opts ...AdaptiveOption) *AdaptiveHull {
 
 // NewAdaptiveStatic builds the §4 static adaptive sample of an already
 // collected point set.
-func NewAdaptiveStatic(pts []geom.Point, r int, opts ...AdaptiveOption) (*AdaptiveHull, error) {
+func NewAdaptiveStatic(pts []geom.Point, r int) (*AdaptiveHull, error) {
 	if err := checkFiniteBatch(pts); err != nil {
 		return nil, err
 	}
-	cfg := core.Config{R: r}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	spec := adaptiveSpec(cfg)
+	spec := Spec{Kind: KindAdaptive, R: r}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &AdaptiveHull{h: core.BuildStatic(pts, cfg), r: r, spec: spec}, nil
+	return &AdaptiveHull{h: core.BuildStatic(pts, adaptiveConfig(spec)), r: r, spec: spec}, nil
 }
 
 // R returns the sample parameter r.

@@ -8,9 +8,19 @@ import (
 	"github.com/streamgeom/streamhull/internal/workload"
 )
 
+// mustAdaptive builds the adaptive summary spec describes through New.
+func mustAdaptive(t testing.TB, spec Spec) *AdaptiveHull {
+	t.Helper()
+	sum, err := New(spec)
+	if err != nil {
+		t.Fatalf("New(%s): %v", spec, err)
+	}
+	return sum.(*AdaptiveHull)
+}
+
 // TestAdaptiveAccessors exercises the informational API surface.
 func TestAdaptiveAccessors(t *testing.T) {
-	s := NewAdaptive(8, WithHeightLimit(2), WithBoundedWork(4))
+	s := mustAdaptive(t, Spec{Kind: KindAdaptive, R: 8, HeightLimit: 2, BoundedWork: 4})
 	if s.R() != 8 {
 		t.Errorf("R = %d", s.R())
 	}
@@ -123,7 +133,7 @@ func TestPartialAccessors(t *testing.T) {
 // can get).
 func TestHeightLimitTradeoff(t *testing.T) {
 	pts := workload.Take(workload.Ellipse(4, 1, 1.0/64, 0.1), 30000)
-	shallow := NewAdaptive(64, WithHeightLimit(1))
+	shallow := mustAdaptive(t, Spec{Kind: KindAdaptive, R: 64, HeightLimit: 1})
 	deep := NewAdaptive(64) // k = log2 r = 6
 	for _, p := range pts {
 		_ = shallow.Insert(p)

@@ -53,7 +53,10 @@ func BenchmarkTable1(b *testing.B) {
 			}
 		})
 		b.Run(name+"/Adaptive", func(b *testing.B) {
-			s := streamhull.NewAdaptive(benchR, streamhull.WithFixedBudget(2*benchR))
+			s, err := streamhull.New(streamhull.Spec{Kind: streamhull.KindAdaptive, R: benchR, FixedBudget: 2 * benchR})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = s.Insert(pts[i%len(pts)])

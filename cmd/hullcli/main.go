@@ -4,27 +4,21 @@
 //
 // Usage:
 //
-//	generate-points | hullcli -algo adaptive -r 32 -query diameter,width
-//	hullcli -algo uniform -r 64 -hull < points.csv
-//	tail -f telemetry.csv | hullcli -window 10000 -query diameter
-//	hullcli -r 32 -shards 4 < points.csv
-//	hullcli -spec '{"kind":"windowed","r":32,"window":"10000"}' < points.csv
+//	generate-points | hullcli -query diameter,width
+//	hullcli -spec '{"kind":"uniform","r":64}' -hull < points.csv
+//	tail -f telemetry.csv | hullcli -spec '{"kind":"windowed","r":32,"window":"10000"}' -query diameter
+//	hullcli -spec '{"kind":"sharded","shards":4,"inner":{"kind":"adaptive","r":32}}' < points.csv
 //	hullcli replay -dir /var/lib/hullserver/mystream -query diameter
 //	hullcli push -to http://agg:8080 -stream clicks -source node7 < points.csv
 //	hullcli relay -from http://region:8080 -to http://global:8080 -source region-eu
 //	hullcli streams -to http://hull:8080 -limit 50 -all
 //	hullcli stats -to http://hull:8080
 //
-// The flags compile down to a streamhull.Spec; -spec supplies one
-// directly as JSON (overriding -algo/-r/-window) and can describe every
-// summary kind, including option-laden adaptive summaries and
-// grid-partitioned ones that have no dedicated flags.
-//
-// With -window the summary covers only the most recent points: a count
-// like "-window 10000" keeps the last 10000 points, a duration like
-// "-window 30s" keeps the points of the last 30 seconds of wall time
-// (windowed summaries always use adaptive buckets, so -algo must be
-// adaptive).
+// -spec names the summary as streamhull.Spec JSON and can describe
+// every summary kind; it defaults to {"kind":"adaptive","r":32}. A
+// windowed spec covers only the most recent points: "window":"10000"
+// keeps the last 10000 points, "window":"30s" the points of the last 30
+// seconds of wall time.
 //
 // The replay subcommand rebuilds a summary from a durable stream's
 // write-ahead-log directory (as written by hullserver -data): latest
@@ -87,23 +81,46 @@ func main() {
 		return
 	}
 	var (
-		algo    = flag.String("algo", "adaptive", "summary: adaptive, uniform, or exact")
-		r       = flag.Int("r", 32, "sample parameter")
-		window  = flag.String("window", "", "sliding window: a point count (e.g. 10000) or a duration (e.g. 30s)")
-		shards  = flag.Int("shards", 1, "fan the summary out over this many parallel-ingest shards (adaptive/uniform/exact only)")
-		spec    = flag.String("spec", "", "summary spec JSON (overrides -algo/-r/-window/-shards)")
+		spec    = defaultSpec()
 		queries = flag.String("query", "diameter,width", "comma-separated: diameter,width,extent,area,circle")
 		theta   = flag.Float64("theta", 0, "direction (radians) for the extent query")
 		hull    = flag.Bool("hull", false, "print hull vertices")
 	)
+	flag.Var(spec, "spec", "summary spec JSON")
 	flag.Parse()
 
-	sum, err := newSummary(*algo, *r, *window, *spec, *shards)
+	sum := spec.summary()
+	consumeStdin(sum)
+	report(sum, *queries, *theta, *hull)
+}
+
+// specFlag is a -spec flag: a streamhull.Spec given as JSON, parsed and
+// validated when the command line is.
+type specFlag struct{ spec streamhull.Spec }
+
+// defaultSpec is the -spec value when the flag is absent.
+func defaultSpec() *specFlag {
+	return &specFlag{spec: streamhull.Spec{Kind: streamhull.KindAdaptive, R: 32}}
+}
+
+func (f *specFlag) String() string { return f.spec.String() }
+
+func (f *specFlag) Set(s string) error {
+	spec, err := streamhull.ParseSpec(s)
+	if err != nil {
+		return err
+	}
+	f.spec = spec
+	return nil
+}
+
+// summary builds the summary the flag names.
+func (f *specFlag) summary() streamhull.Summary {
+	sum, err := streamhull.New(f.spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	consumeStdin(sum)
-	report(sum, *window, *queries, *theta, *hull)
+	return sum
 }
 
 // consumeStdin feeds the stdin point stream into sum, exiting with the
@@ -171,20 +188,14 @@ func runPush(args []string) {
 		stream = fs.String("stream", "", "aggregate stream id on the upstream server")
 		source = fs.String("source", "", "source name this contribution is keyed by")
 		epoch  = fs.Uint64("epoch", 0, "push epoch (0 = wall-clock nanoseconds; must increase across pushes for one source)")
-		algo   = fs.String("algo", "adaptive", "summary: adaptive, uniform, or exact")
-		r      = fs.Int("r", 32, "sample parameter")
-		window = fs.String("window", "", "sliding window: a point count or a duration")
-		shards = fs.Int("shards", 1, "fan the summary out over this many shards")
-		spec   = fs.String("spec", "", "summary spec JSON (overrides -algo/-r/-window/-shards)")
+		spec   = defaultSpec()
 	)
+	fs.Var(spec, "spec", "summary spec JSON")
 	_ = fs.Parse(args)
 	if *to == "" || *stream == "" || *source == "" {
 		log.Fatal("push: need -to, -stream and -source")
 	}
-	sum, err := newSummary(*algo, *r, *window, *spec, *shards)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sum := spec.summary()
 	consumeStdin(sum)
 	sn, ok := sum.(streamhull.Snapshotter)
 	if !ok {
@@ -237,8 +248,8 @@ func runRelay(args []string) {
 
 	var listing struct {
 		Streams []struct {
-			ID   string `json:"id"`
-			Algo string `json:"algo"`
+			ID   string          `json:"id"`
+			Spec streamhull.Spec `json:"spec"`
 		} `json:"streams"`
 	}
 	getJSON(client, *from+"/v1/streams", *fromToken, &listing)
@@ -248,14 +259,14 @@ func runRelay(args []string) {
 	// the operator asks with -leaves.
 	hasAggregates := false
 	for _, st := range listing.Streams {
-		if st.Algo == "fanin" {
+		if st.Spec.Kind == streamhull.KindFanIn {
 			hasAggregates = true
 			break
 		}
 	}
 	relayed := 0
 	for _, st := range listing.Streams {
-		if hasAggregates && !*leaves && st.Algo != "fanin" {
+		if hasAggregates && !*leaves && st.Spec.Kind != streamhull.KindFanIn {
 			continue
 		}
 		var snap streamhull.Snapshot
@@ -292,7 +303,7 @@ func runStreams(args []string) {
 	)
 	_ = fs.Parse(args)
 	client := &http.Client{Timeout: 10 * time.Second}
-	fmt.Printf("%-32s %-10s %8s %8s %s\n", "ID", "ALGO", "N", "SAMPLE", "STATE")
+	fmt.Printf("%-32s %-10s %8s %8s %s\n", "ID", "KIND", "N", "SAMPLE", "STATE")
 	cur := *cursor
 	total := 0
 	for {
@@ -309,13 +320,12 @@ func runStreams(args []string) {
 		}
 		var page struct {
 			Streams []struct {
-				ID         string `json:"id"`
-				Algo       string `json:"algo"`
-				N          int    `json:"n"`
-				SampleSize int    `json:"sample_size"`
-				Window     string `json:"window"`
-				Durable    bool   `json:"durable"`
-				Cold       bool   `json:"cold"`
+				ID         string          `json:"id"`
+				Spec       streamhull.Spec `json:"spec"`
+				N          int             `json:"n"`
+				SampleSize int             `json:"sample_size"`
+				Durable    bool            `json:"durable"`
+				Cold       bool            `json:"cold"`
 			} `json:"streams"`
 			NextCursor string `json:"next_cursor"`
 		}
@@ -328,11 +338,11 @@ func runStreams(args []string) {
 			if s.Cold {
 				state = "cold"
 			}
-			algo := s.Algo
-			if s.Window != "" {
-				algo += "(" + s.Window + ")"
+			kind := string(s.Spec.Kind)
+			if s.Spec.Window != "" {
+				kind += "(" + s.Spec.Window + ")"
 			}
-			fmt.Printf("%-32s %-10s %8d %8d %s\n", s.ID, algo, s.N, s.SampleSize, state)
+			fmt.Printf("%-32s %-10s %8d %8d %s\n", s.ID, kind, s.N, s.SampleSize, state)
 			total++
 		}
 		if page.NextCursor == "" || !*all {
@@ -476,7 +486,7 @@ func runReplay(args []string) {
 		fmt.Printf(" (dropped a torn tail record)")
 	}
 	fmt.Println()
-	report(rec.Summary, "", *queries, *theta, *hull)
+	report(rec.Summary, *queries, *theta, *hull)
 }
 
 // replaySummary restores a stream summary from its WAL directory —
@@ -491,13 +501,13 @@ func replaySummary(dir string) (*store.Recovered, error) {
 
 // report prints the summary line, the requested queries, and optionally
 // the hull vertices.
-func report(sum streamhull.Summary, window, queries string, theta float64, hull bool) {
+func report(sum streamhull.Summary, queries string, theta float64, hull bool) {
 	h := sum.Hull()
 	fmt.Printf("spec=%s\n", sum.Spec())
 	fmt.Printf("points=%d stored=%d hull-vertices=%d", sum.N(), sum.SampleSize(), h.Len())
 	if w, ok := sum.(*streamhull.WindowedHull); ok {
 		count, age := w.WindowSpan()
-		fmt.Printf(" window=%s live=%d", window, count)
+		fmt.Printf(" window=%s live=%d", w.Spec().Window, count)
 		if age > 0 {
 			fmt.Printf(" span=%s", age.Round(time.Millisecond))
 		}
@@ -528,31 +538,6 @@ func report(sum streamhull.Summary, window, queries string, theta float64, hull 
 			fmt.Printf("%g,%g\n", v.X, v.Y)
 		}
 	}
-}
-
-// newSummary builds the stream summary for the flag combination: an
-// explicit -spec JSON document wins, otherwise -algo/-r/-window compile
-// down to a Spec, optionally wrapped in a -shards fan-out. Either way
-// construction goes through streamhull.New.
-func newSummary(algo string, r int, window, specJSON string, shards int) (streamhull.Summary, error) {
-	var (
-		spec streamhull.Spec
-		err  error
-	)
-	if specJSON != "" {
-		spec, err = streamhull.ParseSpec(specJSON)
-	} else {
-		spec, err = streamhull.SpecFor(algo, r, window)
-		if err == nil && shards > 1 {
-			inner := spec
-			spec = streamhull.Spec{Kind: streamhull.KindSharded, Shards: shards, Inner: &inner}
-			err = spec.Validate()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return streamhull.New(spec)
 }
 
 func parsePoint(s string) (geom.Point, error) {

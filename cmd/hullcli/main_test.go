@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"testing"
 
 	streamhull "github.com/streamgeom/streamhull"
@@ -120,48 +122,54 @@ func TestReplaySummaryRejectsNonStreamDir(t *testing.T) {
 	}
 }
 
+// TestNewSummary: -spec is the one way to name the summary. Absent, it
+// is the adaptive r=32 default; present, it must parse and validate as
+// a spec, and every accepted spec builds.
 func TestNewSummary(t *testing.T) {
 	cases := []struct {
-		algo, window, spec string
-		shards             int
-		ok                 bool
+		args []string
+		want string // the resulting spec; "" = the command line is rejected
 	}{
-		{"adaptive", "", "", 1, true},
-		{"uniform", "", "", 1, true},
-		{"exact", "", "", 1, true},
-		{"wizard", "", "", 1, false},
-		{"adaptive", "1000", "", 1, true},
-		{"adaptive", "30s", "", 1, true},
-		{"adaptive", "0", "", 1, false},
-		{"adaptive", "-5s", "", 1, false},
-		{"adaptive", "soon", "", 1, false},
-		{"uniform", "1000", "", 1, false},
-		// -shards wraps the compiled spec in a sharded fan-out.
-		{"adaptive", "", "", 4, true},
-		{"uniform", "", "", 4, true},
-		{"exact", "", "", 4, true},
-		{"adaptive", "1000", "", 4, false}, // windowed summaries cannot shard
-		// -spec overrides the other flags entirely.
-		{"", "", `{"kind":"windowed","r":8,"window":"100"}`, 1, true},
-		{"", "", `{"kind":"partial","r":8,"train_n":50}`, 1, true},
-		{"", "", `{"kind":"partitioned","r":8,"grid":{"cols":2,"rows":2,"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, 1, true},
-		{"", "", `{"kind":"sharded","shards":4,"inner":{"kind":"adaptive","r":16}}`, 1, true},
+		{nil, `{"kind":"adaptive","r":32}`},
+		{[]string{"-spec", `{"kind":"uniform","r":16}`}, `{"kind":"uniform","r":16}`},
+		{[]string{"-spec", `{"kind":"exact"}`}, `{"kind":"exact"}`},
+		{[]string{"-spec", `{"kind":"windowed","r":8,"window":"100"}`}, `{"kind":"windowed","r":8,"window":"100"}`},
+		{[]string{"-spec", `{"kind":"windowed","r":8,"window":"30s"}`}, `{"kind":"windowed","r":8,"window":"30s"}`},
+		{[]string{"-spec", `{"kind":"partial","r":8,"train_n":50}`}, `{"kind":"partial","r":8,"train_n":50}`},
+		{[]string{"-spec", `{"kind":"partitioned","r":8,"grid":{"cols":2,"rows":2,"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`},
+			`{"kind":"partitioned","r":8,"grid":{"cols":2,"rows":2,"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`},
+		{[]string{"-spec", `{"kind":"sharded","shards":4,"inner":{"kind":"adaptive","r":16}}`},
+			`{"kind":"sharded","shards":4,"inner":{"kind":"adaptive","r":16}}`},
 		// Fan-in aggregates are constructible (to inspect their merge
-		// behavior offline) but reject stdin ingest; the CLI only builds
-		// them via an explicit -spec.
-		{"", "", `{"kind":"fanin","r":16}`, 1, true},
-		{"", "", `{"kind":"adaptive"}`, 1, false},
-		{"", "", `{"kind":"nope","r":8}`, 1, false},
-		{"", "", `not json`, 1, false},
+		// behavior offline) but reject stdin ingest.
+		{[]string{"-spec", `{"kind":"fanin","r":16}`}, `{"kind":"fanin","r":16}`},
+		{[]string{"-spec", `{"kind":"adaptive"}`}, ""},
+		{[]string{"-spec", `{"kind":"windowed","r":8,"window":"0"}`}, ""},
+		{[]string{"-spec", `{"kind":"windowed","r":8,"window":"soon"}`}, ""},
+		{[]string{"-spec", `{"kind":"uniform","r":16,"window":"1000"}`}, ""},
+		{[]string{"-spec", `{"kind":"sharded","shards":4,"inner":{"kind":"windowed","r":8,"window":"100"}}`}, ""},
+		{[]string{"-spec", `{"kind":"nope","r":8}`}, ""},
+		{[]string{"-spec", `not json`}, ""},
+		{[]string{"-spec", ``}, ""},
 	}
 	for _, c := range cases {
-		sum, err := newSummary(c.algo, 16, c.window, c.spec, c.shards)
-		if (err == nil) != c.ok {
-			t.Errorf("newSummary(%q, 16, %q, %q, %d) error = %v, want ok=%v", c.algo, c.window, c.spec, c.shards, err, c.ok)
+		fs := flag.NewFlagSet("hullcli", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		spec := defaultSpec()
+		fs.Var(spec, "spec", "")
+		err := fs.Parse(c.args)
+		if (err == nil) != (c.want != "") {
+			t.Errorf("%q: parse error = %v, want ok=%v", c.args, err, c.want != "")
 			continue
 		}
-		if c.ok && sum == nil {
-			t.Errorf("newSummary(%q, 16, %q, %q, %d) returned nil summary", c.algo, c.window, c.spec, c.shards)
+		if err != nil {
+			continue
+		}
+		if got := spec.String(); got != c.want {
+			t.Errorf("%q: spec = %s, want %s", c.args, got, c.want)
+		}
+		if sum := spec.summary(); sum.Spec().String() != c.want {
+			t.Errorf("%q: built summary reports %s", c.args, sum.Spec())
 		}
 	}
 }

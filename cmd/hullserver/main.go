@@ -18,11 +18,13 @@
 // runs in the background (API requests get 503 with progress until it
 // finishes). See docs/STORAGE.md.
 //
-// With -shards the default stream kind becomes a sharded summary:
-// ingest batches are dealt round-robin across that many independent
-// sub-summaries (one lock each, so concurrent batches to one stream
-// ingest in parallel) and reads merge the shard hulls. -shards wraps
-// -r's adaptive summary, or whatever -default-spec names.
+// -default-spec is the spec JSON of every stream created without one:
+// auto-created on first ingest, or created by a PUT with an empty body.
+// It defaults to {"kind":"adaptive","r":32}; a sharded spec such as
+// {"kind":"sharded","shards":8,"inner":{"kind":"adaptive","r":32}} deals
+// ingest batches round-robin across independent sub-summaries (one lock
+// each, so concurrent batches to one stream ingest in parallel) and
+// merges the shard hulls on read.
 //
 // With -push-to the server additionally runs as a fan-in follower:
 // every -push-every it snapshots each of its streams (O(r) bytes each)
@@ -65,8 +67,8 @@
 //
 // Usage:
 //
-//	hullserver -addr :8080 -r 32
-//	hullserver -addr :8080 -shards 8
+//	hullserver -addr :8080
+//	hullserver -addr :8080 -default-spec '{"kind":"sharded","shards":8,"inner":{"kind":"adaptive","r":32}}'
 //	hullserver -addr :8080 -data /var/lib/hullserver -fsync always
 //	hullserver -addr :8080 -data /var/lib/hullserver -max-resident 10000
 //	hullserver -addr :8081 -push-to http://agg:8080 -push-every 5s -push-source node1
@@ -86,7 +88,6 @@ import (
 	"syscall"
 	"time"
 
-	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/internal/auth"
 	"github.com/streamgeom/streamhull/internal/fanin"
 	"github.com/streamgeom/streamhull/internal/server"
@@ -97,9 +98,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		r         = flag.Int("r", 32, "default sample parameter for auto-created streams")
-		defSpec   = flag.String("default-spec", "", "spec JSON for auto-created streams (overrides -r)")
-		shards    = flag.Int("shards", 1, "fan auto-created streams out over this many parallel-ingest shards")
+		defSpec   = flag.String("default-spec", `{"kind":"adaptive","r":32}`, "spec JSON for auto-created and empty-body-created streams")
 		maxS      = flag.Int("max-streams", 1024, "maximum number of live streams")
 		sweep     = flag.Duration("sweep", 2*time.Second, "expiry sweep interval for time-windowed streams")
 		data      = flag.String("data", "", "data directory for durable streams (empty = in-memory only)")
@@ -152,30 +151,13 @@ func main() {
 	if err != nil {
 		fatal("-fsync", "err", err)
 	}
-	if *shards > 1 {
-		// Wrap the default stream spec in a sharded fan-out. The inner
-		// spec is -default-spec when given, else -r's adaptive summary.
-		inner := streamhull.Spec{Kind: streamhull.KindAdaptive, R: *r}
-		if *defSpec != "" {
-			parsed, err := streamhull.ParseSpec(*defSpec)
-			if err != nil {
-				fatal("-default-spec", "err", err)
-			}
-			inner = parsed
-		}
-		wrapped := streamhull.Spec{Kind: streamhull.KindSharded, Shards: *shards, Inner: &inner}
-		if err := wrapped.Validate(); err != nil {
-			fatal("-shards", "shards", *shards, "err", err)
-		}
-		*defSpec = wrapped.String()
-	}
 	tracer := trace.New(trace.Config{
 		Capacity:      *traceCap,
 		SlowThreshold: *traceSlow,
 		Logger:        logger,
 	})
 	api, err := server.New(server.Config{
-		DefaultR: *r, DefaultSpec: *defSpec, MaxStreams: *maxS, SweepInterval: *sweep,
+		DefaultSpec: *defSpec, MaxStreams: *maxS, SweepInterval: *sweep,
 		DataDir: *data, MaxResident: *maxRes,
 		AsyncRecovery: *asyncRec, Sync: sync, FsyncInterval: *fsyncInt,
 		CheckpointEvery: *ckpt, Logger: logger, Tracer: tracer,
@@ -288,7 +270,7 @@ func main() {
 		logger.Info("durable mode", "data", *data, "fsync", *fsync,
 			"max_resident", *maxRes)
 	}
-	logger.Info("hullserver listening", "addr", *addr, "default_r", *r)
+	logger.Info("hullserver listening", "addr", *addr, "default_spec", *defSpec)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("listener failed", "err", err)
 	}

@@ -100,25 +100,15 @@ func (s *Server) residentSummary(key string, st *stream, sp *trace.Span) (stream
 // Caller holds st.mu, which is what makes rehydration singleflight.
 func (s *Server) rehydrateLocked(key string, st *stream, sp *trace.Span) error {
 	start := time.Now()
-	rec, err := s.store.Load(key)
+	rec, err := s.adoptStoredLocked(key, st)
 	if err != nil {
 		return fmt.Errorf("%w: rehydrating %q: %v", errStorage, key, err)
-	}
-	app, err := s.store.Open(key)
-	if err != nil {
-		return fmt.Errorf("%w: reopening log for %q: %v", errStorage, key, err)
 	}
 	if wh, ok := rec.Summary.(*streamhull.WindowedHull); ok {
 		// Points that aged out while the stream was cold expire now;
 		// the background sweeper takes over again from here.
 		wh.Expire()
-		if wh.ByTime() {
-			s.startSweeper()
-		}
 	}
-	st.setSummary(rec.Summary)
-	st.app = app
-	st.sinceCkpt = rec.Points
 	st.coldN, st.coldSample = 0, 0
 	s.admit(key, st)
 	dur := time.Since(start)

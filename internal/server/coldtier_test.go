@@ -265,7 +265,7 @@ func TestListPagination(t *testing.T) {
 	var want []string
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("pg%02d", i)
-		if code, _ := do(t, "PUT", ts.URL+"/v1/streams/"+id+"?algo=adaptive&r=16", nil); code != http.StatusCreated {
+		if code, _ := do(t, "PUT", ts.URL+"/v1/streams/"+id, specBody(`{"kind":"adaptive","r":16}`)); code != http.StatusCreated {
 			t.Fatalf("create %s", id)
 		}
 		want = append(want, id)

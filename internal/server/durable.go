@@ -65,32 +65,39 @@ func (s *Server) recoverStreams() error {
 }
 
 func (s *Server) recoverStream(e store.Entry) (*stream, error) {
-	rec, err := s.store.Load(e.Key)
+	st := &stream{tenant: e.Tenant}
+	rec, err := s.adoptStoredLocked(e.Key, st)
+	if err != nil {
+		return nil, err
+	}
+	st.spec = rec.Spec
+	st.bytes = int64(rec.Summary.N()) * bytesPerPoint
+	s.logger.Info("wal: recovered stream",
+		"stream", e.Key, "tenant", e.Tenant, "spec", fmt.Sprint(rec.Spec),
+		"n", rec.Summary.N(), "checkpoint", rec.HasCheckpoint,
+		"replayed_points", rec.Points)
+	return st, nil
+}
+
+// adoptStoredLocked loads the stream's persisted state — latest
+// checkpoint plus the surviving log tail — reopens its log and adopts
+// both (see adoptLocked). Startup recovery and cold-tier rehydration
+// share it. Caller holds st.mu when the stream is already shared.
+func (s *Server) adoptStoredLocked(key string, st *stream) (*store.Recovered, error) {
+	rec, err := s.store.Load(key)
 	if err != nil {
 		return nil, err
 	}
 	if rec.Torn {
 		s.logger.Warn("wal: dropped a torn tail record during recovery",
-			"stream", e.Key, "tenant", e.Tenant)
+			"stream", key, "tenant", st.tenant)
 	}
-	app, err := s.store.Open(e.Key)
+	app, err := s.store.Open(key)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reopening log: %w", err)
 	}
-	s.logger.Info("wal: recovered stream",
-		"stream", e.Key, "tenant", e.Tenant, "spec", fmt.Sprint(rec.Spec),
-		"n", rec.Summary.N(), "checkpoint", rec.HasCheckpoint,
-		"replayed_points", rec.Points)
-	st := &stream{spec: rec.Spec, tenant: e.Tenant, app: app,
-		bytes:     int64(rec.Summary.N()) * bytesPerPoint,
-		sinceCkpt: rec.Points}
-	st.setSummary(rec.Summary)
-	// Recovered time-windowed streams need the expiry sweeper just like
-	// freshly created ones.
-	if wh, ok := rec.Summary.(*streamhull.WindowedHull); ok && wh.ByTime() {
-		s.startSweeper()
-	}
-	return st, nil
+	s.adoptLocked(st, rec.Summary, app, rec.Points)
+	return rec, nil
 }
 
 // maybeCheckpointLocked seals the stream's current state into its log

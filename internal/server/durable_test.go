@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,16 +79,16 @@ func TestDurableRecoveryAfterKill(t *testing.T) {
 	srvA := mustNew(t, durableConfig(dir))
 	tsA := httptest.NewServer(srvA)
 
-	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/d1?algo=adaptive&r=16", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/d1", specBody(`{"kind":"adaptive","r":16}`)); code != http.StatusCreated {
 		t.Fatal("create d1")
 	}
-	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/u1?algo=uniform&r=12", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/u1", specBody(`{"kind":"uniform","r":12}`)); code != http.StatusCreated {
 		t.Fatal("create u1")
 	}
-	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/ex1?algo=exact", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/ex1", specBody(`{"kind":"exact"}`)); code != http.StatusCreated {
 		t.Fatal("create ex1")
 	}
-	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/w1?window=100&r=8", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", tsA.URL+"/v1/streams/w1", specBody(`{"kind":"windowed","r":8,"window":"100"}`)); code != http.StatusCreated {
 		t.Fatal("create w1")
 	}
 	pts := workload.Take(workload.Ellipse(7, 1, 0.3, 0.4), 3000)
@@ -124,7 +125,7 @@ func TestDurableRecoveryAfterKill(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("windowed detail after recovery: %d %v", code, detail)
 	}
-	if detail["window"] != "100" {
+	if specField(detail)["window"] != "100" {
 		t.Fatalf("recovered windowed stream lost its window: %v", detail)
 	}
 	if wc := detail["window_count"].(float64); wc < 100 || wc > 300 {
@@ -174,8 +175,8 @@ func TestDurableWindowedKillRecover(t *testing.T) {
 	}
 	sameVertices(t, gotVs, wantVs)
 	_, gotDetail := do(t, "GET", tsB.URL+"/v1/streams/wd", nil)
-	for _, key := range []string{"window", "window_count", "sample_size", "algo", "r"} {
-		if gotDetail[key] != wantDetail[key] {
+	for _, key := range []string{"spec", "window_count", "sample_size"} {
+		if !reflect.DeepEqual(gotDetail[key], wantDetail[key]) {
 			t.Errorf("detail %q: recovered %v, want %v", key, gotDetail[key], wantDetail[key])
 		}
 	}

@@ -224,8 +224,8 @@ func TestFanInPusherEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("aggregator detail: %d %v", code, detail)
 	}
-	if detail["algo"] != "fanin" {
-		t.Errorf("aggregate kind = %v", detail["algo"])
+	if specField(detail)["kind"] != "fanin" {
+		t.Errorf("aggregate spec = %v", detail["spec"])
 	}
 	if n := detail["n"].(float64); n != 1500 {
 		t.Errorf("aggregate n = %g, want 1500", n)
@@ -331,8 +331,8 @@ func TestFanInDurableRestartRecoversEmptyAggregate(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("recovered detail: %d %v", code, detail)
 	}
-	if detail["algo"] != "fanin" {
-		t.Fatalf("recovered kind = %v", detail["algo"])
+	if specField(detail)["kind"] != "fanin" {
+		t.Fatalf("recovered spec = %v", detail["spec"])
 	}
 	if n := detail["n"].(float64); n != 0 {
 		t.Errorf("recovered aggregate n = %g, want 0 (soft state)", n)

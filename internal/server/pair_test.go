@@ -39,7 +39,7 @@ func TestPairQueryEmptyStreams(t *testing.T) {
 	ts := newTestServer(t)
 	// "full" has points; "hollow" was created but never written.
 	ingest(t, ts, "full", workload.Take(workload.Disk(1, geom.Pt(0, 0), 1), 100))
-	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/hollow?algo=adaptive&r=8", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/hollow", specBody(`{"kind":"adaptive","r":8}`)); code != http.StatusCreated {
 		t.Fatal("create hollow")
 	}
 	for _, qt := range []string{"distance", "separable", "overlap", "contains"} {
@@ -57,7 +57,7 @@ func TestPairQueryEmptyStreams(t *testing.T) {
 		}
 	}
 	// Both sides empty: both ids reported.
-	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/hollow2?algo=adaptive&r=8", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/hollow2", specBody(`{"kind":"adaptive","r":8}`)); code != http.StatusCreated {
 		t.Fatal("create hollow2")
 	}
 	code, resp := do(t, "GET", ts.URL+"/v1/pairs/query?a=hollow&b=hollow2&type=distance", nil)

@@ -6,8 +6,7 @@
 //
 // Endpoints:
 //
-//	PUT    /v1/streams/{id}          create — spec JSON body, or
-//	       ?algo=adaptive|uniform|exact|fanin&r=32&window=<n|dur> query params
+//	PUT    /v1/streams/{id}          create — spec JSON body (empty = the default spec)
 //	DELETE /v1/streams/{id}                                    drop
 //	GET    /v1/streams                                         list
 //	GET    /v1/streams/{id}          detail: spec, n, sample size, durability,
@@ -21,15 +20,18 @@
 //	POST   /v1/streams/{id}/snapshot?source=<name>&epoch=<n>   fan-in push
 //	DELETE /v1/streams/{id}/sources/{source}                   drop a fan-in source
 //
-// Streams are spec-driven: a create request may carry a streamhull.Spec
+// Streams are spec-driven: a create request carries a streamhull.Spec
 // JSON document ({"kind": "windowed", "r": 32, "window": "10000"}) as
 // its body, which can describe every summary kind — adaptive (with
 // height-limit/fixed-budget/bounded-work options), uniform, exact,
-// partial, windowed, grid-partitioned, and sharded (round-robin
-// parallel-ingest fan-out over a nested inner spec). The legacy query
-// parameters compile down to a Spec; create, list, detail and snapshot
-// responses all report the stream's spec, so any stream can be
-// recreated elsewhere from what the API returns.
+// partial, windowed, grid-partitioned, sharded (round-robin
+// parallel-ingest fan-out over a nested inner spec) and fan-in. An
+// empty body creates Config.DefaultSpec's stream, the same one
+// auto-create builds; the spec body is the only way to name another
+// summary (a create carrying algo, r or window query parameters is a
+// 400). Create, restore, list, detail and snapshot responses all report
+// the stream's spec, so any stream can be recreated elsewhere from what
+// the API returns.
 //
 // Reads are epoch-cached: each stream keeps a materialized read state
 // (the folded hull plus memoized diameter/width/extent/circle answers)
@@ -145,7 +147,8 @@ type Config struct {
 	// Zero selects 32.
 	DefaultR int
 	// DefaultSpec, when non-empty, is the spec JSON used for
-	// auto-created streams instead of an adaptive summary with DefaultR.
+	// auto-created streams and empty-body creates instead of an
+	// adaptive summary with DefaultR.
 	DefaultSpec string
 	// MaxStreams bounds the number of live streams (0 = 1024).
 	MaxStreams int
@@ -239,7 +242,7 @@ type Config struct {
 // Server is an HTTP handler managing named stream summaries.
 type Server struct {
 	cfg         Config
-	defaultSpec streamhull.Spec // auto-create spec, from DefaultSpec/DefaultR
+	defaultSpec streamhull.Spec // auto-create and empty-body create spec, from DefaultSpec/DefaultR
 	authp       auth.Provider
 	ledger      *auth.Ledger
 	reg         *telemetry.Registry
@@ -310,6 +313,23 @@ func (st *stream) setSummary(sum streamhull.Summary) {
 	st.cache.Store(streamhull.NewQueryCache(sum))
 }
 
+// adoptLocked makes sum the stream's live state: the summary and its
+// read cache, the appender its ingest is logged to (nil in memory), and
+// the points logged since its last checkpoint. Every path that brings a
+// summary in — create, restore, startup recovery, rehydration — runs
+// it, so the one decision a newly live summary implies is made here: a
+// time window ages out between inserts and needs the background
+// sweeper (count windows expire on insert). Callers hold st.mu when the
+// stream is already shared.
+func (s *Server) adoptLocked(st *stream, sum streamhull.Summary, app store.Appender, sinceCkpt int) {
+	st.setSummary(sum)
+	st.app = app
+	st.sinceCkpt = sinceCkpt
+	if wh, ok := sum.(*streamhull.WindowedHull); ok && wh.ByTime() {
+		s.startSweeper()
+	}
+}
+
 // queries returns the stream's epoch-cached read state.
 func (st *stream) queries() *streamhull.QueryCache { return st.cache.Load() }
 
@@ -371,11 +391,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.defaultSpec = spec
 	} else {
-		spec, err := streamhull.SpecFor("adaptive", cfg.DefaultR, "")
-		if err != nil {
+		s.defaultSpec = streamhull.Spec{Kind: streamhull.KindAdaptive, R: cfg.DefaultR}
+		if err := s.defaultSpec.Validate(); err != nil {
 			return nil, fmt.Errorf("default r: %w", err)
 		}
-		s.defaultSpec = spec
 	}
 	switch {
 	case cfg.Store != nil:
@@ -649,30 +668,27 @@ func writeStreamErr(w http.ResponseWriter, err error, fallback int) {
 	}
 }
 
-// specFromRequest compiles a create request down to a Spec: a non-empty
-// body must be a spec JSON document (the v2 way, able to describe every
-// summary kind); otherwise the legacy algo/r/window query parameters
-// are compiled through streamhull.SpecFor. An oversized body surfaces
-// as *http.MaxBytesError for the caller's 413 mapping.
+// specFromRequest reads a create request's Spec: a non-empty body must
+// be a spec JSON document, and an empty body means the server's default
+// spec. The pre-spec algo/r/window query parameters are refused rather
+// than ignored, so an old client cannot silently get a different kind.
+// An oversized body surfaces as *http.MaxBytesError for the caller's
+// 413 mapping.
 func (s *Server) specFromRequest(w http.ResponseWriter, req *http.Request) (streamhull.Spec, error) {
+	q := req.URL.Query()
+	for _, name := range []string{"algo", "r", "window"} {
+		if q.Has(name) {
+			return streamhull.Spec{}, fmt.Errorf("query parameter %q is not supported: send the stream's spec JSON as the body, e.g. %s", name, s.defaultSpec)
+		}
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		return streamhull.Spec{}, fmt.Errorf("reading body: %w", err)
 	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		return streamhull.ParseSpec(string(body))
+	if len(bytes.TrimSpace(body)) == 0 {
+		return s.defaultSpec, nil
 	}
-	algo := req.URL.Query().Get("algo")
-	window := req.URL.Query().Get("window")
-	r := s.cfg.DefaultR
-	if rs := req.URL.Query().Get("r"); rs != "" {
-		v, err := strconv.Atoi(rs)
-		if err != nil {
-			return streamhull.Spec{}, fmt.Errorf("invalid r: %v", err)
-		}
-		r = v
-	}
-	return streamhull.SpecFor(algo, r, window)
+	return streamhull.ParseSpec(string(body))
 }
 
 // addStream creates a stream under the server lock, opening its durable
@@ -711,11 +727,10 @@ func (s *Server) addStreamLocked(tenant, id string, sum streamhull.Summary, chec
 	if err := s.ledger.ReserveStream(tenant); err != nil {
 		return nil, err
 	}
-	st := &stream{spec: spec, tenant: tenant}
-	st.setSummary(sum)
+	var app store.Appender
 	if s.store != nil {
-		app, err := s.store.Create(key, spec)
-		if err != nil {
+		var err error
+		if app, err = s.store.Create(key, spec); err != nil {
 			s.ledger.ReleaseStream(tenant, 0)
 			return nil, fmt.Errorf("%w: %v", errStorage, err)
 		}
@@ -725,16 +740,12 @@ func (s *Server) addStreamLocked(tenant, id string, sum streamhull.Summary, chec
 					"stream", key, "tenant", tenant, "err", err)
 			}
 		}
-		st.app = app
 	}
+	st := &stream{spec: spec, tenant: tenant}
+	s.adoptLocked(st, sum, app, 0)
 	s.streams[key] = st
 	s.admit(key, st)
 	s.touch(st)
-	// Only time windows age out between inserts and need the background
-	// sweeper; count windows expire on insert.
-	if wh, ok := sum.(*streamhull.WindowedHull); ok && wh.ByTime() {
-		s.startSweeper()
-	}
 	return st, nil
 }
 
@@ -768,17 +779,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeStreamErr(w, err, http.StatusConflict)
 		return
 	}
-	writeJSON(w, http.StatusCreated, createResponse(id, sum.Spec()))
-}
-
-// createResponse reports a created stream: the spec plus the legacy
-// algo/r/window head fields.
-func createResponse(id string, spec streamhull.Spec) map[string]any {
-	resp := map[string]any{"id": id, "spec": spec, "algo": string(spec.Kind), "r": spec.R}
-	if spec.Window != "" {
-		resp["window"] = spec.Window
-	}
-	return resp
+	writeJSON(w, http.StatusCreated, map[string]any{"id": id, "spec": sum.Spec()})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
@@ -809,15 +810,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
 }
 
 type streamInfo struct {
-	ID          string           `json:"id"`
-	Spec        *streamhull.Spec `json:"spec,omitempty"`
-	Algo        string           `json:"algo"`
-	R           int              `json:"r"`
-	N           int              `json:"n"`
-	SampleSize  int              `json:"sample_size"`
-	Window      string           `json:"window,omitempty"`
-	WindowCount int              `json:"window_count,omitempty"`
-	Durable     bool             `json:"durable,omitempty"`
+	ID          string          `json:"id"`
+	Spec        streamhull.Spec `json:"spec"`
+	N           int             `json:"n"`
+	SampleSize  int             `json:"sample_size"`
+	WindowCount int             `json:"window_count,omitempty"`
+	Durable     bool            `json:"durable,omitempty"`
 	// Cold marks a stream currently parked in the cold tier (its
 	// summary evicted to its checkpoint; any touch rehydrates it).
 	Cold bool `json:"cold,omitempty"`
@@ -857,11 +855,9 @@ func infoFor(id string, st *stream) streamInfo {
 	if sum != nil {
 		n, sampleSize = sum.N(), sum.SampleSize()
 	}
-	spec := st.spec
 	info := streamInfo{
-		ID: id, Spec: &spec, Algo: string(spec.Kind), R: spec.R,
-		N: n, SampleSize: sampleSize,
-		Window: spec.Window, Durable: durable, Cold: sum == nil,
+		ID: id, Spec: st.spec, N: n, SampleSize: sampleSize,
+		Durable: durable, Cold: sum == nil,
 	}
 	if wh, ok := sum.(*streamhull.WindowedHull); ok {
 		info.WindowCount = wh.WindowCount()
@@ -1388,9 +1384,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, req *http.Request) {
 	st.bytes += charge
 	n := st.sum.N()
 	st.mu.Unlock()
-	resp := createResponse(id, sum.Spec())
-	resp["n"] = n
-	writeJSON(w, http.StatusCreated, resp)
+	writeJSON(w, http.StatusCreated, map[string]any{"id": id, "spec": sum.Spec(), "n": n})
 }
 
 // handleSourcePush applies one source-tagged push to a fan-in aggregate

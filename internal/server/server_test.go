@@ -7,6 +7,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,6 +63,16 @@ func do(t *testing.T, method, url string, body any) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// specBody is a create request's spec JSON body, for do's body argument.
+func specBody(spec string) json.RawMessage { return json.RawMessage(spec) }
+
+// specField returns the "spec" object of a create, restore, list or
+// detail response.
+func specField(resp map[string]any) map[string]any {
+	spec, _ := resp["spec"].(map[string]any)
+	return spec
+}
+
 func ingest(t *testing.T, ts *httptest.Server, id string, pts []geom.Point) {
 	t.Helper()
 	body := map[string]any{"points": toPairs(pts)}
@@ -78,7 +92,7 @@ func toPairs(pts []geom.Point) [][2]float64 {
 
 func TestCreateListDelete(t *testing.T) {
 	ts := newTestServer(t)
-	code, resp := do(t, "PUT", ts.URL+"/v1/streams/s1?algo=adaptive&r=8", nil)
+	code, resp := do(t, "PUT", ts.URL+"/v1/streams/s1", specBody(`{"kind":"adaptive","r":8}`))
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d %v", code, resp)
 	}
@@ -86,9 +100,9 @@ func TestCreateListDelete(t *testing.T) {
 	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/s1", nil); code != http.StatusConflict {
 		t.Errorf("duplicate create: %d", code)
 	}
-	// Bad algo.
-	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/s2?algo=wizard", nil); code != http.StatusBadRequest {
-		t.Errorf("bad algo: %d", code)
+	// Bad kind.
+	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/s2", specBody(`{"kind":"wizard"}`)); code != http.StatusBadRequest {
+		t.Errorf("bad kind: %d", code)
 	}
 	code, resp = do(t, "GET", ts.URL+"/v1/streams", nil)
 	if code != http.StatusOK {
@@ -103,6 +117,100 @@ func TestCreateListDelete(t *testing.T) {
 	if code, _ := do(t, "DELETE", ts.URL+"/v1/streams/s1", nil); code != http.StatusNotFound {
 		t.Errorf("double delete: %d", code)
 	}
+}
+
+// TestCreateContract pins the create endpoint's one input: a spec JSON
+// body, or an empty body for the server's default spec. The pre-spec
+// algo/r/window query parameters are refused without creating anything,
+// and a spec body persists the same meta.json bytes it always has (the
+// algo/r head stays for older readers of the data directory).
+func TestCreateContract(t *testing.T) {
+	t.Run("legacy query parameters", func(t *testing.T) {
+		dir := t.TempDir()
+		srv := mustNew(t, durableConfig(dir))
+		t.Cleanup(func() { _ = srv.Close() })
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		for _, q := range []string{"algo=uniform", "r=8", "window=100"} {
+			code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/legacy?"+q, "", nil)
+			var env errorBody
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("?%s: %d %s", q, code, body)
+			}
+			if code != http.StatusBadRequest || env.Code != "bad_request" || !strings.Contains(env.Error, "spec JSON") {
+				t.Errorf("?%s: %d %s, want 400 bad_request naming the spec body", q, code, body)
+			}
+		}
+		_, listed := do(t, "GET", ts.URL+"/v1/streams", nil)
+		if n := len(listed["streams"].([]any)); n != 0 {
+			t.Errorf("refused creates left %d streams: %v", n, listed)
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("refused creates left %d entries in the data directory (%v)", len(ents), err)
+		}
+	})
+
+	t.Run("empty body is the default spec", func(t *testing.T) {
+		for _, c := range []struct {
+			cfg  Config
+			want string
+		}{
+			{Config{DefaultR: 24}, `{"kind":"adaptive","r":24}`},
+			{Config{DefaultR: 24, DefaultSpec: `{"kind":"sharded","shards":2,"inner":{"kind":"uniform","r":12}}`},
+				`{"kind":"sharded","shards":2,"inner":{"kind":"uniform","r":12}}`},
+		} {
+			ts := httptest.NewServer(mustNew(t, c.cfg))
+			code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/d", "", nil)
+			// Auto-create builds the same default.
+			ingest(t, ts, "auto", []geom.Point{geom.Pt(0, 0)})
+			_, auto := do(t, "GET", ts.URL+"/v1/streams/auto", nil)
+			ts.Close()
+			want := `{"id":"d","spec":` + c.want + "}\n"
+			if code != http.StatusCreated || string(body) != want {
+				t.Errorf("empty-body create = %d %s, want 201 %s", code, body, want)
+			}
+			if got, _ := json.Marshal(auto["spec"]); !sameJSON(t, got, c.want) {
+				t.Errorf("auto-created spec = %s, want %s", got, c.want)
+			}
+		}
+	})
+
+	t.Run("spec body", func(t *testing.T) {
+		dir := t.TempDir()
+		srv := mustNew(t, durableConfig(dir))
+		t.Cleanup(func() { _ = srv.Close() })
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		// meta.json bytes as every earlier release wrote them.
+		for _, c := range []struct{ id, spec, meta string }{
+			{"a", `{"kind":"adaptive","r":16}`, `{"algo":"adaptive","r":16,"spec":{"kind":"adaptive","r":16}}`},
+			{"w", `{"kind":"windowed","r":8,"window":"100"}`, `{"algo":"windowed","r":8,"spec":{"kind":"windowed","r":8,"window":"100"}}`},
+			{"s", `{"kind":"sharded","shards":2,"inner":{"kind":"adaptive","r":16}}`, `{"algo":"sharded","r":0,"spec":{"kind":"sharded","shards":2,"inner":{"kind":"adaptive","r":16}}}`},
+			{"e", `{"kind":"exact"}`, `{"algo":"exact","r":0,"spec":{"kind":"exact"}}`},
+		} {
+			code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/"+c.id, "", []byte(c.spec))
+			if want := `{"id":"` + c.id + `","spec":` + c.spec + "}\n"; code != http.StatusCreated || string(body) != want {
+				t.Errorf("create %s = %d %s, want 201 %s", c.id, code, body, want)
+			}
+			meta, err := os.ReadFile(filepath.Join(dir, c.id, "meta.json"))
+			if err != nil || string(meta) != c.meta {
+				t.Errorf("%s meta.json = %s (%v), want %s", c.id, meta, err, c.meta)
+			}
+		}
+	})
+}
+
+// sameJSON reports whether got encodes the same JSON value as want.
+func sameJSON(t *testing.T, got []byte, want string) bool {
+	t.Helper()
+	var g, w any
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatalf("decoding %s: %v", got, err)
+	}
+	if err := json.Unmarshal([]byte(want), &w); err != nil {
+		t.Fatalf("decoding %s: %v", want, err)
+	}
+	return reflect.DeepEqual(g, w)
 }
 
 func TestIngestAndQueries(t *testing.T) {
@@ -233,7 +341,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Errorf("snapshot sizes: %d angles, %d points", len(angles), len(points))
 	}
 	// Exact streams do not snapshot.
-	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/ex?algo=exact", nil); code != http.StatusCreated {
+	if code, _ := do(t, "PUT", ts.URL+"/v1/streams/ex", specBody(`{"kind":"exact"}`)); code != http.StatusCreated {
 		t.Fatal("create exact")
 	}
 	ingest(t, ts, "ex", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)})
@@ -271,11 +379,11 @@ func TestWindowedStream(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, resp := do(t, "PUT", ts.URL+"/v1/streams/w1?window=500&r=8", nil)
+	code, resp := do(t, "PUT", ts.URL+"/v1/streams/w1", specBody(`{"kind":"windowed","r":8,"window":"500"}`))
 	if code != http.StatusCreated {
 		t.Fatalf("create windowed: %d %v", code, resp)
 	}
-	if resp["window"] != "500" {
+	if specField(resp)["window"] != "500" {
 		t.Fatalf("create response lacks window: %v", resp)
 	}
 
@@ -298,7 +406,7 @@ func TestWindowedStream(t *testing.T) {
 	// List reports the window spec and a live count near the window.
 	_, listed := do(t, "GET", ts.URL+"/v1/streams", nil)
 	info := listed["streams"].([]any)[0].(map[string]any)
-	if info["window"] != "500" {
+	if specField(info)["window"] != "500" {
 		t.Fatalf("list lacks window spec: %v", info)
 	}
 	wc := int(info["window_count"].(float64))
@@ -324,17 +432,21 @@ func TestWindowedStream(t *testing.T) {
 
 func TestWindowedCreateValidation(t *testing.T) {
 	ts := newTestServer(t)
-	for path, want := range map[string]int{
-		"/v1/streams/bad1?window=abc":              http.StatusBadRequest,
-		"/v1/streams/bad2?window=0":                http.StatusBadRequest,
-		"/v1/streams/bad3?window=-5s":              http.StatusBadRequest,
-		"/v1/streams/bad4?window=100&algo=uniform": http.StatusBadRequest,
-		"/v1/streams/bad5?window=100&algo=exact":   http.StatusBadRequest,
-		"/v1/streams/ok1?window=100":               http.StatusCreated,
-		"/v1/streams/ok2?window=30s&algo=adaptive": http.StatusCreated,
+	for id, c := range map[string]struct {
+		spec string
+		want int
+	}{
+		"bad1": {`{"kind":"windowed","r":8,"window":"abc"}`, http.StatusBadRequest},
+		"bad2": {`{"kind":"windowed","r":8,"window":"0"}`, http.StatusBadRequest},
+		"bad3": {`{"kind":"windowed","r":8,"window":"-5s"}`, http.StatusBadRequest},
+		"bad4": {`{"kind":"uniform","r":8,"window":"100"}`, http.StatusBadRequest},
+		"bad5": {`{"kind":"exact","window":"100"}`, http.StatusBadRequest},
+		"bad6": {`{"kind":"windowed","r":8}`, http.StatusBadRequest},
+		"ok1":  {`{"kind":"windowed","r":16,"window":"100"}`, http.StatusCreated},
+		"ok2":  {`{"kind":"windowed","r":16,"window":"30s"}`, http.StatusCreated},
 	} {
-		if code, resp := do(t, "PUT", ts.URL+path, nil); code != want {
-			t.Errorf("PUT %s: got %d (%v), want %d", path, code, resp, want)
+		if code, resp := do(t, "PUT", ts.URL+"/v1/streams/"+id, specBody(c.spec)); code != c.want {
+			t.Errorf("PUT %s %s: got %d (%v), want %d", id, c.spec, code, resp, c.want)
 		}
 	}
 }
@@ -345,7 +457,7 @@ func TestTimeWindowSweep(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if code, resp := do(t, "PUT", ts.URL+"/v1/streams/tw?window=50ms&r=8", nil); code != http.StatusCreated {
+	if code, resp := do(t, "PUT", ts.URL+"/v1/streams/tw", specBody(`{"kind":"windowed","r":8,"window":"50ms"}`)); code != http.StatusCreated {
 		t.Fatalf("create: %d %v", code, resp)
 	}
 	ingest(t, ts, "tw", workload.Take(workload.Disk(1, geom.Point{}, 1), 200))

@@ -31,6 +31,9 @@ func newAuthServer(t *testing.T, quotas auth.Quotas) *httptest.Server {
 	return ts
 }
 
+// adaptive8 is the spec body the tests create plain streams with.
+var adaptive8 = []byte(`{"kind":"adaptive","r":8}`)
+
 // doAuth issues one request with a bearer token, returning the status
 // and raw body.
 func doAuth(t *testing.T, method, url, token string, body []byte) (int, []byte) {
@@ -57,7 +60,7 @@ func doAuth(t *testing.T, method, url, token string, body []byte) (int, []byte) 
 func TestAuthRoleMatrix(t *testing.T) {
 	ts := newAuthServer(t, auth.Quotas{})
 	// Seed a stream and a fan-in aggregate in acme's namespace.
-	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/clicks?algo=adaptive&r=8", "acme-admin", nil); code != http.StatusCreated {
+	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/clicks", "acme-admin", adaptive8); code != http.StatusCreated {
 		t.Fatalf("seed create: %d %s", code, body)
 	}
 	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/agg", "acme-admin",
@@ -98,7 +101,7 @@ func TestAuthRoleMatrix(t *testing.T) {
 			return doAuth(t, "POST", ts.URL+"/v1/streams/clicks/points", "acme-reader", []byte(`{"points":[[3,3]]}`))
 		}, 403},
 		{"reader create", "acme-reader", func() (int, []byte) {
-			return doAuth(t, "PUT", ts.URL+"/v1/streams/more?algo=adaptive&r=8", "acme-reader", nil)
+			return doAuth(t, "PUT", ts.URL+"/v1/streams/more", "acme-reader", adaptive8)
 		}, 403},
 		{"reader delete", "acme-reader", func() (int, []byte) {
 			return doAuth(t, "DELETE", ts.URL+"/v1/streams/clicks", "acme-reader", nil)
@@ -117,13 +120,13 @@ func TestAuthRoleMatrix(t *testing.T) {
 			return doAuth(t, "PUT", ts.URL+"/v1/streams/agg2", "acme-pusher", []byte(`{"kind":"fanin","r":8}`))
 		}, 201},
 		{"pusher create regular", "acme-pusher", func() (int, []byte) {
-			return doAuth(t, "PUT", ts.URL+"/v1/streams/plain?algo=adaptive&r=8", "acme-pusher", nil)
+			return doAuth(t, "PUT", ts.URL+"/v1/streams/plain", "acme-pusher", adaptive8)
 		}, 403},
 
 		// Cross-tenant: globex shares ids without collision and cannot
 		// see acme's streams.
 		{"other tenant same id", "globex-admin", func() (int, []byte) {
-			return doAuth(t, "PUT", ts.URL+"/v1/streams/clicks?algo=adaptive&r=8", "globex-admin", nil)
+			return doAuth(t, "PUT", ts.URL+"/v1/streams/clicks", "globex-admin", adaptive8)
 		}, 201},
 		{"other tenant detail", "globex-admin", func() (int, []byte) {
 			return doAuth(t, "GET", ts.URL+"/v1/streams/agg", "globex-admin", nil)
@@ -187,16 +190,16 @@ func TestRejectedPushNeverMutates(t *testing.T) {
 
 func TestStreamAndByteQuotas(t *testing.T) {
 	ts := newAuthServer(t, auth.Quotas{MaxStreams: 1, MaxBytes: 64})
-	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/a?algo=adaptive&r=8", "acme-admin", nil); code != http.StatusCreated {
+	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/a", "acme-admin", adaptive8); code != http.StatusCreated {
 		t.Fatalf("first create: %d %s", code, body)
 	}
-	code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/b?algo=adaptive&r=8", "acme-admin", nil)
+	code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/b", "acme-admin", adaptive8)
 	if code != http.StatusInsufficientStorage {
 		t.Fatalf("second create: %d %s, want 507", code, body)
 	}
 	assertEnvelope(t, body, "quota_streams")
 	// Another tenant is unaffected.
-	if code, _ := doAuth(t, "PUT", ts.URL+"/v1/streams/b?algo=adaptive&r=8", "globex-admin", nil); code != http.StatusCreated {
+	if code, _ := doAuth(t, "PUT", ts.URL+"/v1/streams/b", "globex-admin", adaptive8); code != http.StatusCreated {
 		t.Errorf("other tenant blocked by acme's stream quota: %d", code)
 	}
 	// 64 bytes = 4 points; a 5-point batch busts the byte quota.
@@ -215,7 +218,7 @@ func TestStreamAndByteQuotas(t *testing.T) {
 	if code, _ := doAuth(t, "DELETE", ts.URL+"/v1/streams/a", "acme-admin", nil); code != http.StatusOK {
 		t.Fatal("delete failed")
 	}
-	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/b?algo=adaptive&r=8", "acme-admin", nil); code != http.StatusCreated {
+	if code, body := doAuth(t, "PUT", ts.URL+"/v1/streams/b", "acme-admin", adaptive8); code != http.StatusCreated {
 		t.Errorf("create after delete: %d %s (slot not returned?)", code, body)
 	}
 	if code, body := doAuth(t, "POST", ts.URL+"/v1/streams/b/points", "acme-admin",
@@ -283,12 +286,9 @@ func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 	open := newTestServer(t)
 	// Seed: an adaptive stream with points, an empty one, an aggregate.
 	ingestSeed := func() {
-		for _, seed := range [][2]string{
-			{"/v1/streams/full?algo=adaptive&r=8", `PUT`},
-			{"/v1/streams/none?algo=adaptive&r=8", `PUT`},
-		} {
-			if code, body := doAuth(t, seed[1], open.URL+seed[0], "", nil); code != http.StatusCreated {
-				t.Fatalf("seed %s: %d %s", seed[0], code, body)
+		for _, id := range []string{"full", "none"} {
+			if code, body := doAuth(t, "PUT", open.URL+"/v1/streams/"+id, "", adaptive8); code != http.StatusCreated {
+				t.Fatalf("seed %s: %d %s", id, code, body)
 			}
 		}
 		if code, _ := doAuth(t, "POST", open.URL+"/v1/streams/full/points", "",
@@ -314,8 +314,9 @@ func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 		wantCode int
 		wantTag  string
 	}{
-		{"create bad spec", "PUT", "/v1/streams/x?algo=wizard", "", 400, "bad_request"},
-		{"create duplicate", "PUT", "/v1/streams/full?algo=adaptive&r=8", "", 409, "conflict"},
+		{"create bad spec", "PUT", "/v1/streams/x", `{"kind":"wizard"}`, 400, "bad_request"},
+		{"create legacy query", "PUT", "/v1/streams/x?algo=uniform", "", 400, "bad_request"},
+		{"create duplicate", "PUT", "/v1/streams/full", string(adaptive8), 409, "conflict"},
 		{"delete missing", "DELETE", "/v1/streams/ghost", "", 404, "not_found"},
 		{"detail missing", "GET", "/v1/streams/ghost", "", 404, "not_found"},
 		{"points bad body", "POST", "/v1/streams/full/points", `{"points":`, 400, "bad_request"},

@@ -22,8 +22,8 @@ func TestShardedStreamEndToEnd(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d %v", code, resp)
 	}
-	if resp["algo"] != "sharded" {
-		t.Fatalf("create response algo = %v", resp["algo"])
+	if specField(resp)["kind"] != "sharded" {
+		t.Fatalf("create response spec = %v", resp["spec"])
 	}
 	pts := workload.Take(workload.Disk(61, geom.Point{}, 1), 4000)
 	for i := 0; i < len(pts); i += 250 {
@@ -63,7 +63,7 @@ func TestShardedStreamEndToEnd(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("restore: %d %v", code, restored)
 	}
-	if restored["n"].(float64) != 4000 || restored["algo"] != "sharded" {
+	if restored["n"].(float64) != 4000 || specField(restored)["kind"] != "sharded" {
 		t.Fatalf("restored head = %v", restored)
 	}
 }

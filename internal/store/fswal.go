@@ -158,12 +158,24 @@ func MetaForSpec(spec streamhull.Spec) (wal.Meta, error) {
 	return wal.Meta{Algo: string(spec.Kind), R: spec.R, Spec: data}, nil
 }
 
-// specFromMeta recovers a stream's Spec from its WAL meta sidecar,
-// falling back to the legacy algo/r head fields for directories written
-// before specs existed.
+// specFromMeta recovers a stream's Spec from its WAL meta sidecar. A
+// directory written before specs existed has only the algo/r head: algo
+// "" means adaptive, exact drops r, and the other sampling kinds keep it.
+// A pre-spec meta cannot name a window, so windowed (like any unknown
+// algo) is rejected.
 func specFromMeta(meta wal.Meta) (streamhull.Spec, error) {
 	if len(meta.Spec) > 0 {
 		return streamhull.ParseSpec(string(meta.Spec))
 	}
-	return streamhull.SpecFor(meta.Algo, meta.R, "")
+	spec := streamhull.Spec{Kind: streamhull.Kind(meta.Algo), R: meta.R}
+	switch spec.Kind {
+	case "":
+		spec.Kind = streamhull.KindAdaptive
+	case streamhull.KindAdaptive, streamhull.KindUniform, streamhull.KindFanIn:
+	case streamhull.KindExact:
+		spec.R = 0
+	default:
+		return streamhull.Spec{}, fmt.Errorf("store: pre-spec meta names algo %q (want adaptive, uniform, exact, or fanin)", meta.Algo)
+	}
+	return spec, spec.Validate()
 }

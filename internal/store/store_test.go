@@ -340,3 +340,46 @@ func TestEncodeDirRoundTrip(t *testing.T) {
 		t.Fatal("DecodeDir accepted an invalid escape")
 	}
 }
+
+// TestSpecFromMetaPreSpec: a meta written before specs existed carries
+// only the algo/r head. The fallback accepts and rejects exactly the
+// pairs the old algo/r flag bridge did, and a spec, when present, wins.
+func TestSpecFromMetaPreSpec(t *testing.T) {
+	cases := []struct {
+		algo string
+		r    int
+		want streamhull.Spec // zero Kind = rejected
+	}{
+		{"adaptive", 16, adaptiveSpec(16)},
+		{"", 32, adaptiveSpec(32)},
+		{"uniform", 12, streamhull.Spec{Kind: streamhull.KindUniform, R: 12}},
+		{"exact", 32, streamhull.Spec{Kind: streamhull.KindExact}},
+		{"exact", 0, streamhull.Spec{Kind: streamhull.KindExact}},
+		{"fanin", 16, streamhull.Spec{Kind: streamhull.KindFanIn, R: 16}},
+		{"windowed", 16, streamhull.Spec{}},
+		{"partial", 16, streamhull.Spec{}},
+		{"sharded", 0, streamhull.Spec{}},
+		{"wizard", 16, streamhull.Spec{}},
+		{"adaptive", 2, streamhull.Spec{}},
+		{"uniform", 2, streamhull.Spec{}},
+		{"fanin", 3, streamhull.Spec{}},
+		{"adaptive", streamhull.MaxR + 1, streamhull.Spec{}},
+	}
+	for _, c := range cases {
+		got, err := specFromMeta(wal.Meta{Algo: c.algo, R: c.r})
+		if c.want.Kind == "" {
+			if err == nil {
+				t.Errorf("specFromMeta(%q, %d) = %s, want an error", c.algo, c.r, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("specFromMeta(%q, %d) = %s, %v; want %s", c.algo, c.r, got, err, c.want)
+		}
+	}
+	spec := streamhull.Spec{Kind: streamhull.KindWindowed, R: 8, Window: "100"}
+	got, err := specFromMeta(wal.Meta{Algo: "adaptive", R: 16, Spec: []byte(spec.String())})
+	if err != nil || got != spec {
+		t.Errorf("specFromMeta with a spec = %s, %v; want %s", got, err, spec)
+	}
+}

@@ -57,7 +57,7 @@ poll "http://$GLO_ADDR/v1/streams/clicks" '"n":3' \
 echo "cascade: leaf points visible at the global tier"
 
 # The region tier's aggregate is kind fanin on BOTH tiers.
-curl -fsS "http://$GLO_ADDR/v1/streams/clicks" | grep -q '"algo":"fanin"' \
+curl -fsS "http://$GLO_ADDR/v1/streams/clicks" | grep -q '"kind":"fanin"' \
   || { echo "FAIL: global aggregate not fanin"; exit 1; }
 
 # More leaf points propagate end to end through both hops.

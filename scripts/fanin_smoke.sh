@@ -32,13 +32,13 @@ sleep 1
 
 detail=$(curl -fsS "http://$AGG_ADDR/v1/streams/clicks")
 echo "aggregator detail: $detail"
-echo "$detail" | grep -q '"algo":"fanin"' || { echo "FAIL: aggregate not fanin"; exit 1; }
+echo "$detail" | grep -q '"kind":"fanin"' || { echo "FAIL: aggregate not fanin"; exit 1; }
 echo "$detail" | grep -q '"n":3' || { echo "FAIL: merged n != 3"; exit 1; }
 echo "$detail" | grep -q '"source":"node1"' || { echo "FAIL: source node1 missing"; exit 1; }
 
 # A second source via the one-shot CLI pusher.
 printf '9,9\n8,8\n' | "$BIN/hullcli" push \
-  -to "http://$AGG_ADDR" -stream clicks -source node2 -r 16
+  -to "http://$AGG_ADDR" -stream clicks -source node2 -spec '{"kind":"adaptive","r":16}'
 detail=$(curl -fsS "http://$AGG_ADDR/v1/streams/clicks")
 echo "aggregator detail: $detail"
 echo "$detail" | grep -q '"n":5' || { echo "FAIL: merged n != 5 after CLI push"; exit 1; }
@@ -91,10 +91,10 @@ for _ in $(seq 1 50); do
 done
 
 printf '1,1\n2,2\n' | "$BIN/hullcli" push \
-  -to "http://$AUTH_ADDR" -token push-tok -stream clicks -source node3 -r 16 \
+  -to "http://$AUTH_ADDR" -token push-tok -stream clicks -source node3 -spec '{"kind":"adaptive","r":16}' \
   || { echo "FAIL: authorized CLI push"; exit 1; }
 if printf '3,3\n' | "$BIN/hullcli" push \
-  -to "http://$AUTH_ADDR" -stream clicks -source rogue -r 16 2>/dev/null; then
+  -to "http://$AUTH_ADDR" -stream clicks -source rogue -spec '{"kind":"adaptive","r":16}' 2>/dev/null; then
   echo "FAIL: anonymous push accepted by authenticated server"; exit 1
 fi
 detail=$(curl -fsS -H 'Authorization: Bearer admin-tok' "http://$AUTH_ADDR/v1/streams/clicks")

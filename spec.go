@@ -16,7 +16,7 @@ import (
 // specs), so it is the unit of configuration everywhere a summary
 // crosses a process boundary: the HTTP server's create endpoint, WAL
 // metadata (so crash recovery can rebuild any stream kind), snapshots,
-// and the CLI flags, which all compile down to a Spec.
+// and the CLIs' -spec flags.
 //
 // Exactly the fields meaningful for the Kind may be set; Validate
 // rejects conflicting combinations (a window on a partitioned summary, a
@@ -300,40 +300,6 @@ func ParseSpec(data string) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
-}
-
-// SpecFor compiles the legacy flag triple — an algorithm name, a sample
-// parameter and an optional window spec — down to a Spec. It is the
-// bridge the CLIs and the server's query parameters use; algo "" means
-// adaptive, and a non-empty window selects a windowed summary (whose
-// buckets are always adaptive).
-func SpecFor(algo string, r int, window string) (Spec, error) {
-	if window != "" {
-		if algo != "" && algo != string(KindAdaptive) && algo != string(KindWindowed) {
-			return Spec{}, fmt.Errorf("streamhull: window requires algo adaptive, got %q", algo)
-		}
-		s := Spec{Kind: KindWindowed, R: r, Window: window}
-		return s, s.Validate()
-	}
-	switch algo {
-	case "", string(KindAdaptive):
-		s := Spec{Kind: KindAdaptive, R: r}
-		return s, s.Validate()
-	case string(KindUniform):
-		s := Spec{Kind: KindUniform, R: r}
-		return s, s.Validate()
-	case string(KindExact):
-		// Exact summaries have no sample parameter; drop the default r the
-		// caller's flag supplied.
-		return Spec{Kind: KindExact}, nil
-	case string(KindFanIn):
-		s := Spec{Kind: KindFanIn, R: r}
-		return s, s.Validate()
-	case string(KindWindowed):
-		return Spec{}, fmt.Errorf("streamhull: windowed summary requires a window (a count or a duration)")
-	default:
-		return Spec{}, fmt.Errorf("streamhull: unknown algo %q (want adaptive, uniform, exact, or fanin)", algo)
-	}
 }
 
 // New builds the summary a Spec describes — the one constructor of the

@@ -157,22 +157,47 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSpecFor covers the legacy flag → Spec bridge.
+// TestSpecFor pins the spec form of every algo/r/window triple the
+// retired flag bridge handled: each is accepted or rejected by ParseSpec
+// exactly as the bridge did. (Pre-spec WAL metas, the one place a bare
+// algo/r pair still appears, are covered by internal/store.)
 func TestSpecFor(t *testing.T) {
-	if s, err := SpecFor("", 32, ""); err != nil || s.Kind != KindAdaptive || s.R != 32 {
-		t.Errorf("SpecFor default = %v, %v", s, err)
+	cases := []struct {
+		triple string // the bridge's algo/r/window input
+		json   string // the equivalent spec document
+		ok     bool
+	}{
+		{`"" 32 ""`, `{"kind":"adaptive","r":32}`, true},
+		{`adaptive 16 ""`, `{"kind":"adaptive","r":16}`, true},
+		{`uniform 16 ""`, `{"kind":"uniform","r":16}`, true},
+		{`fanin 16 ""`, `{"kind":"fanin","r":16}`, true},
+		// The bridge dropped r for exact; the spec form must drop it too.
+		{`exact 32 ""`, `{"kind":"exact"}`, true},
+		{`exact 32 "" (r kept)`, `{"kind":"exact","r":32}`, false},
+		// A window selected the windowed kind with adaptive buckets.
+		{`adaptive 16 30s`, `{"kind":"windowed","r":16,"window":"30s"}`, true},
+		{`"" 16 1000`, `{"kind":"windowed","r":16,"window":"1000"}`, true},
+		{`uniform 16 100`, `{"kind":"uniform","r":16,"window":"100"}`, false},
+		{`exact 16 100`, `{"kind":"exact","window":"100"}`, false},
+		{`windowed 16 ""`, `{"kind":"windowed","r":16}`, false},
+		{`wizard 16 ""`, `{"kind":"wizard","r":16}`, false},
+		{`adaptive 2 ""`, `{"kind":"adaptive","r":2}`, false},
+		{`adaptive 16 0`, `{"kind":"windowed","r":16,"window":"0"}`, false},
 	}
-	if s, err := SpecFor("exact", 32, ""); err != nil || s.Kind != KindExact || s.R != 0 {
-		t.Errorf("SpecFor exact = %v, %v (r must be dropped)", s, err)
-	}
-	if s, err := SpecFor("adaptive", 16, "30s"); err != nil || s.Kind != KindWindowed || s.Window != "30s" {
-		t.Errorf("SpecFor windowed = %v, %v", s, err)
-	}
-	for _, bad := range [][3]string{
-		{"uniform", "16", "100"}, {"wizard", "16", ""}, {"windowed", "16", ""},
-	} {
-		if _, err := SpecFor(bad[0], 16, bad[2]); err == nil {
-			t.Errorf("SpecFor(%q, window=%q) accepted", bad[0], bad[2])
+	for _, c := range cases {
+		spec, err := ParseSpec(c.json)
+		if (err == nil) != c.ok {
+			t.Errorf("%s → ParseSpec(%s) error = %v, want ok=%v", c.triple, c.json, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: parsed spec %s fails Validate: %v", c.triple, spec, err)
+		}
+		if _, err := New(spec); err != nil {
+			t.Errorf("%s: New(%s): %v", c.triple, spec, err)
 		}
 	}
 }
@@ -181,7 +206,8 @@ func TestSpecFor(t *testing.T) {
 // whose Spec round-trips through New.
 func TestConstructorsAreSpecWrappers(t *testing.T) {
 	sums := []Summary{
-		NewAdaptive(16, WithHeightLimit(3), WithFixedBudget(32)),
+		NewAdaptive(16),
+		mustAdaptive(t, Spec{Kind: KindAdaptive, R: 16, HeightLimit: 3, FixedBudget: 32}),
 		NewUniform(12),
 		NewExact(),
 		NewPartial(8, 50, 16),

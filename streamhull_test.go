@@ -320,7 +320,7 @@ func TestUniformVsAdaptiveErrorOrdering(t *testing.T) {
 	// On a thin rotated ellipse, the adaptive summary's reported error
 	// bound must beat the uniform summary's at equal sample budget.
 	pts := workload.Take(workload.Ellipse(10, 1, 1.0/16, geom.TwoPi/64), 30000)
-	ad := NewAdaptive(16, WithFixedBudget(32))
+	ad := mustAdaptive(t, Spec{Kind: KindAdaptive, R: 16, FixedBudget: 32})
 	un := NewUniform(32)
 	for _, p := range pts {
 		_ = ad.Insert(p)

@@ -139,14 +139,9 @@ func buildWindowed(spec Spec, clock func() time.Time) (*WindowedHull, error) {
 // NewWindowedByCount returns a summary of the last n stream points
 // (n ≥ 1) with adaptive sample parameter r ≥ 4 per bucket. Like the
 // other summary constructors it panics on invalid parameters; use
-// New(Spec) or NewWindowedFromSpec for validated construction from user
-// input.
+// New(Spec) for validated construction from user input.
 func NewWindowedByCount(r, n int) *WindowedHull {
-	s, err := NewWindowedFromSpec(r, strconv.Itoa(n), nil)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return mustWindowed(Spec{Kind: KindWindowed, R: r, Window: strconv.Itoa(n)}, nil)
 }
 
 // NewWindowedByTime returns a summary of the last d of time (d > 0) with
@@ -154,30 +149,23 @@ func NewWindowedByCount(r, n int) *WindowedHull {
 // time; nil selects time.Now. Time windows age out between inserts: call
 // Expire (or just query — queries expire first) to drop stale buckets on
 // an idle stream. Like the other summary constructors it panics on
-// invalid parameters; use New(Spec) or NewWindowedFromSpec for validated
-// construction from user input.
+// invalid parameters; use New(Spec) for validated construction from user
+// input.
 func NewWindowedByTime(r int, d time.Duration, clock func() time.Time) *WindowedHull {
-	if d <= 0 {
-		panic(fmt.Sprintf("streamhull: window duration must be positive, got %v", d))
+	return mustWindowed(Spec{Kind: KindWindowed, R: r, Window: d.String()}, clock)
+}
+
+// mustWindowed validates spec and builds its windowed summary, panicking
+// on invalid parameters (the constructors' contract).
+func mustWindowed(spec Spec, clock func() time.Time) *WindowedHull {
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
-	s, err := NewWindowedFromSpec(r, d.String(), clock)
+	s, err := buildWindowed(spec, clock)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// NewWindowedFromSpec builds a windowed summary from a textual window
-// spec — a point count like "5000" or a Go duration like "30s" — with
-// full validation, returning errors instead of panicking. It is the
-// shared entry point for user-supplied window strings; New(Spec) routes
-// through it too. A nil clock selects time.Now for duration specs.
-func NewWindowedFromSpec(r int, windowSpec string, clock func() time.Time) (*WindowedHull, error) {
-	spec := Spec{Kind: KindWindowed, R: r, Window: windowSpec}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return buildWindowed(spec, clock)
 }
 
 // R returns the per-bucket sample parameter r.
